@@ -19,7 +19,7 @@ from math import comb
 
 from . import permutations
 from .errors import CapTooSmall, DenominatorNotUnit, TooLarge
-from .partitions import partitions_of, q_eulerian_weight, syt_count_q
+from .partitions import b_statistic, partitions_of, q_eulerian_weight, syt_count_q
 from .polynomial import Poly, Series, divexact, geometric_series
 from .qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
 
@@ -32,6 +32,21 @@ TABLE_LIMIT = 24
 # Closed forms over permutations
 # ---------------------------------------------------------------------------
 
+def _hook_sum(k: int, max_p: int) -> Poly:
+    """The hook sum of :func:`maj_inv_poly` with every f(p) cut at p^max_p.
+
+    f(p) = p^b(shape) (1 + ...), so shapes with b(shape) > max_p are skipped.
+    """
+    total = Poly.zero()
+    for shape in partitions_of(k):
+        if not shape:
+            total = total + 1
+        elif b_statistic(shape) <= max_p:
+            f_q = syt_count_q(shape)
+            total = total + f_q.rename({"q": "p"}).truncate({"p": max_p}) * f_q
+    return total
+
+
 @lru_cache(maxsize=None)
 def maj_inv_poly(k: int) -> Poly:
     """Joint (maj, inv) distribution over S_k, in (p, q), as a hook-length partition sum.
@@ -39,13 +54,7 @@ def maj_inv_poly(k: int) -> Poly:
     Equals sum over partitions of k of the product of the two single-variable
     tableau-counting polynomials; the constant 1 for k = 0.
     """
-    total = Poly.zero()
-    for shape in partitions_of(k):
-        if shape:
-            total = total + syt_count_q(shape, "p") * syt_count_q(shape, "q")
-        else:
-            total = total + 1
-    return total
+    return _hook_sum(k, comb(k, 2))
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +104,7 @@ def _leading_over_pochhammer(k: int, var: str, cap: int) -> Series:
 
 def inv_gf(k: int, cap: int) -> Series:
     """Series in p, exact in q: coefficient of p^n q^r counts k-compositions of n with r inversions."""
-    return _leading_over_pochhammer(k, "p", cap) * maj_inv_poly(k)
+    return _leading_over_pochhammer(k, "p", cap) * _hook_sum(k, cap - k)
 
 
 def inv_gf_recurrence(k: int, cap: int) -> Series:
@@ -113,33 +122,24 @@ def inv_gf_recurrence(k: int, cap: int) -> Series:
 
 
 def inv_gf_total(cap: int) -> Series:
-    """Series in p, exact in q: coefficient of p^n q^r counts all compositions of n with r inversions."""
-    total = Series.one("p", cap)  # the empty composition
-    for m in range(1, cap + 1):
-        leading = _leading_over_pochhammer(m, "p", cap)
-        for shape in partitions_of(m):
-            fp = syt_count_q(shape, "p").truncate({"p": cap - m})
-            total = total + leading * fp * syt_count_q(shape, "q")
-    return total
+    """Series in p, exact in q: coefficient of p^n q^r counts all compositions of n with r inversions.
+
+    The sum over k of the k-part series :func:`inv_gf`, plus 1 for the empty composition.
+    """
+    return sum((inv_gf(m, cap) for m in range(1, cap + 1)), Series.one("p", cap))
 
 
 def des_gf(k: int, cap: int) -> Series:
     """Series in q, exact in t: coefficient of q^n t^r counts k-compositions of n with r descents."""
-    return _leading_over_pochhammer(k, "q", cap) * q_eulerian_poly(k)
+    return _leading_over_pochhammer(k, "q", cap) * q_eulerian_poly(k).truncate({"q": cap - k})
 
 
 def des_gf_total(cap: int) -> Series:
-    """Series in q, exact in t: coefficient of q^n t^r counts all compositions of n with r descents."""
-    total = Series.one("q", cap)  # the empty composition
-    one_minus_t = 1 - Poly.variable("t")
-    for m in range(1, cap + 1):
-        leading = _leading_over_pochhammer(m, "q", cap)
-        for shape in partitions_of(m):
-            weight = (Poly.variable("t", len(shape) - 1)
-                      * one_minus_t ** (m - len(shape))
-                      * q_eulerian_weight(shape))
-            total = total + leading * weight
-    return total
+    """Series in q, exact in t: coefficient of q^n t^r counts all compositions of n with r descents.
+
+    The sum over k of the k-part series :func:`des_gf`, plus 1 for the empty composition.
+    """
+    return sum((des_gf(m, cap) for m in range(1, cap + 1)), Series.one("q", cap))
 
 
 def des_gf_total_rational(cap: int) -> Series:
@@ -204,20 +204,22 @@ def joint_gf(k: int, cap: int) -> Series:
 
 
 def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Total inversion counts: n -> inversions over all compositions of n,
-    and (n, k) -> inversions over all k-compositions of n (1 <= k <= n)."""
-    if cap > TABLE_LIMIT:
-        raise TooLarge(f"cap {cap} exceeds the table limit {TABLE_LIMIT}")
-    by_n: dict[int, int] = {}
-    split = inv_gf_total(cap).body.coefficients_in("p")
-    for n in range(cap + 1):
-        by_n[n] = _sum_weighted(split.get(n, Poly.zero()), "q")
+    """Total inversion counts, read off the k-part series :func:`inv_gf`: n -> inversions
+    over all compositions of n (the sum of its k-part totals), and (n, k) -> inversions
+    over all k-compositions of n (1 <= k <= n)."""
+    _check_table_cap(cap)
     by_nk: dict[tuple[int, int], int] = {}
     for k in range(1, cap + 1):
         k_split = inv_gf(k, cap).body.coefficients_in("p")
         for n in range(k, cap + 1):
             by_nk[(n, k)] = _sum_weighted(k_split.get(n, Poly.zero()), "q")
+    by_n = {n: sum(by_nk[(n, k)] for k in range(1, n + 1)) for n in range(cap + 1)}
     return by_n, by_nk
+
+
+def _check_table_cap(cap: int) -> None:
+    if cap > TABLE_LIMIT:
+        raise TooLarge(f"cap {cap} exceeds the table limit {TABLE_LIMIT}")
 
 
 def _sum_weighted(poly: Poly, var: str) -> int:
@@ -307,7 +309,7 @@ TABLE_KINDS = ("ic_n", "ic_nk", "dc_n", "dc_nk")
 class DistTable:
     """Triangle of counts: (n, r) -> number of compositions of n with r
     inversions (ic kinds) or r descents (dc kinds), optionally for a fixed
-    part count k."""
+    part count k (all zero when k exceeds the cap)."""
 
     kind: str
     cap: int
@@ -316,13 +318,15 @@ class DistTable:
 
     @classmethod
     def inversions(cls, cap: int, k: int | None = None) -> DistTable:
-        series = inv_gf_total(cap) if k is None else inv_gf(k, cap)
+        _check_table_cap(cap)
+        series = inv_gf_total(cap) if k is None else _k_part_series(inv_gf, k, cap, "p")
         kind = "ic_n" if k is None else "ic_nk"
         return cls(kind=kind, cap=cap, k=k, entries=_series_entries(series, "p", "q"))
 
     @classmethod
     def descents(cls, cap: int, k: int | None = None) -> DistTable:
-        series = des_gf_total(cap) if k is None else des_gf(k, cap)
+        _check_table_cap(cap)
+        series = des_gf_total(cap) if k is None else _k_part_series(des_gf, k, cap, "q")
         kind = "dc_n" if k is None else "dc_nk"
         return cls(kind=kind, cap=cap, k=k, entries=_series_entries(series, "q", "t"))
 
@@ -380,6 +384,11 @@ class DistTable:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
+
+
+def _k_part_series(gf, k: int, cap: int, size_var: str) -> Series:
+    """gf(k, cap), or zero when k > cap: every k-composition has size >= k."""
+    return gf(k, cap) if k <= cap else Series(Poly.zero(), size_var, cap)
 
 
 def _series_entries(series: Series, size_var: str, stat_var: str) -> dict[tuple[int, int], int]:

@@ -91,15 +91,18 @@ def load_metadata(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> dict:
+    """The sequence's mapping: ``metadata`` overrides the :data:`SEQUENCES` defaults."""
+    table = {**SEQUENCES, **(metadata or {})}
+    if sequence_id not in table:
+        raise UnknownSequence(f"no mapping for sequence {sequence_id!r}")
+    return table[sequence_id]
+
+
 def sequence_terms(sequence_id: str, max_n: int,
                    metadata: Mapping[str, dict] | None = None) -> list[int]:
     """The artifact's values for the sequence, linearized to the b-file order."""
-    table = dict(SEQUENCES)
-    if metadata:
-        table.update(metadata)
-    if sequence_id not in table:
-        raise UnknownSequence(f"no mapping for sequence {sequence_id!r}")
-    meta = table[sequence_id]
+    meta = _sequence_meta(sequence_id, metadata)
     quantity = meta["quantity"]
     n_start = int(meta.get("n_start", 1))
     terms: list[int] = []
@@ -144,12 +147,7 @@ class CheckReport:
 def check_sequence(sequence_id: str, bfile: BFile, max_n: int,
                    metadata: Mapping[str, dict] | None = None) -> CheckReport:
     """Compare the b-file against computed values for all indices both cover."""
-    table = dict(SEQUENCES)
-    if metadata:
-        table.update(metadata)
-    if sequence_id not in table:
-        raise UnknownSequence(f"no mapping for sequence {sequence_id!r}")
-    offset = int(table[sequence_id].get("offset", 1))
+    offset = int(_sequence_meta(sequence_id, metadata).get("offset", 1))
     expected = sequence_terms(sequence_id, max_n, metadata)
     checked = 0
     for index, value in bfile.rows:

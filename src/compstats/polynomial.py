@@ -94,9 +94,6 @@ class Poly:
         """Coefficient of the given monomial, e.g. ``poly.coeff(p=2, q=1)``."""
         return self._terms.get(monomial_key(exponents), 0)
 
-    def coeff_key(self, key: Monomial) -> int:
-        return self._terms.get(key, 0)
-
     def degree(self, var: str) -> int:
         """Largest exponent of ``var`` appearing in the support; -1 for the zero polynomial."""
         idx = _VAR_INDEX[var]
@@ -120,9 +117,6 @@ class Poly:
             rest = key[:idx] + (0,) + key[idx + 1:]
             grouped.setdefault(key[idx], {})[rest] = coeff
         return {e: Poly(terms) for e, terms in grouped.items()}
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -71,6 +71,20 @@ def test_table_json_with_k(capsys):
     assert [3, 1, "1"] in data["entries"]
 
 
+def test_table_more_parts_than_max_n_is_all_zero(capsys):
+    for kind, columns in (("ic", 13), ("dc", 6)):
+        code, out, _ = run(capsys, "table", kind, "--max-n", "3", "--k", "5",
+                           "--format", "grid")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split() for row in rows] == [[str(n)] + ["0"] * columns
+                                                  for n in range(4)]
+        code, out, _ = run(capsys, "table", kind, "--max-n", "3", "--k", "5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"kind": f"{kind}_nk", "k": 5, "cap": 3, "entries": []}
+
+
 def test_table_determinism(capsys):
     first = run(capsys, "table", "ic", "--max-n", "10", "--format", "csv")
     second = run(capsys, "table", "ic", "--max-n", "10", "--format", "csv")
@@ -148,6 +162,12 @@ def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     assert "FAIL genfuncid" in out
     assert "k=2" in out
 
+    monkeypatch.setattr(distributions, "verify_product_expansion",
+                        lambda max_t, cap_p, cap_q: False)
+    code, out, _ = run(capsys, "verify", "--suite", "prod", "--k", "2", "--cap", "6")
+    assert code == 1
+    assert out.startswith("FAIL prod")
+
 
 def test_first_poly_difference_message():
     from compstats.cli import _first_poly_difference
@@ -183,6 +203,15 @@ def test_oeis_check_unknown_sequence(tmp_path, capsys):
                        "--bfile", str(some), "--max-n", "5")
     assert code == 2
     assert "error" in err
+
+
+def test_oeis_check_over_table_limit(capsys):
+    for seq, digits in (("A189074", "189074"), ("A238343", "238343")):
+        code, _, err = run(capsys, "oeis-check", "--seq", seq,
+                           "--bfile", str(DATA / "oeis" / f"b{digits}.txt"),
+                           "--max-n", "30")
+        assert code == 2
+        assert "exceeds the table limit 24" in err
 
 
 def test_oeis_check_parse_error(tmp_path, capsys):

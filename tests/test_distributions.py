@@ -5,6 +5,7 @@ import pytest
 
 from compstats.compositions import statistic_distribution as composition_distribution
 from compstats.distributions import (
+    TABLE_LIMIT,
     DistTable,
     comaj_des_gf,
     des_gf,
@@ -25,7 +26,7 @@ from compstats.distributions import (
 from compstats.errors import CapTooSmall, TooLarge
 from compstats.partitions import partitions_of
 from compstats.permutations import statistic_distribution as permutation_distribution
-from compstats.polynomial import Poly, p, q, t
+from compstats.polynomial import Poly, Series, p, q, t
 from compstats.qanalog import q_factorial
 
 # the displayed small polynomials, frozen term for term
@@ -151,6 +152,15 @@ def test_inv_gf_total_equals_sum_over_k():
     for k in range(1, cap + 1):
         acc = acc + inv_gf(k, cap)
     assert acc == total
+
+
+def test_inv_gf_total_matches_recurrence_past_enumeration():
+    # the Gaussian-binomial recurrence shares no code with the hook sum
+    cap = 18
+    acc = Series.one("p", cap)
+    for k in range(1, cap + 1):
+        acc = acc + inv_gf_recurrence(k, cap)
+    assert inv_gf_total(cap) == acc
 
 
 def test_des_gf_small():
@@ -289,6 +299,21 @@ def test_dist_table_descents():
     assert table.kind == "dc_n"
     assert table.row(6) == [11, 19, 2]
     table.validate()
+
+
+def test_dist_table_more_parts_than_cap_is_all_zero():
+    for table, kind in ((DistTable.inversions(3, k=5), "ic_nk"),
+                        (DistTable.descents(3, k=4), "dc_nk")):
+        assert (table.kind, table.cap) == (kind, 3)
+        assert table.entries == {}
+        assert table.row(3) == [0]
+
+
+def test_dist_table_too_large():
+    with pytest.raises(TooLarge):
+        DistTable.inversions(TABLE_LIMIT + 1)
+    with pytest.raises(TooLarge):
+        DistTable.descents(TABLE_LIMIT + 1, k=2)
 
 
 def test_dist_table_csv():

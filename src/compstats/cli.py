@@ -1,8 +1,9 @@
 """Command-line front end: tables, bijection round-trips, verification suites, OEIS checks.
 
 Exit codes: 0 success, 1 verification failure or value mismatch, 2 usage or
-parse error.  Output is deterministic: identical inputs produce identical
-bytes.
+parse error (or a verification suite that raised one), 3 internal error: an
+invariant such as an exact division failed, which is a bug in this package.
+Output is deterministic: identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .compositions import (
     sorting_permutation,
     statistic_distribution as composition_distribution,
 )
-from .errors import BFileParseError, CompstatsError, NetworkUnavailable, UnknownSequence
+from .errors import (
+    BFileParseError,
+    CompstatsError,
+    InexactDivision,
+    NetworkUnavailable,
+    UnknownSequence,
+)
 from .permutations import (
     all_permutations,
     foata,
@@ -39,6 +46,7 @@ from .polynomial import Poly, monomial_exponents
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 HK_LIMIT = 8
 
@@ -238,36 +246,32 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, tuple[bool, str]]] = []
-    suite = args.suite
-
-    def want(name: str) -> bool:
-        return suite in ("all", name)
-
-    if want("prod"):
-        checks.append(("prod", _check_prod(args.k or 4, args.cap or 8)))
-    if want("geneuler"):
-        checks.append(("geneuler", _check_geneuler(args.k or 6)))
-    if want("genfuncid"):
-        checks.append(("genfuncid", _check_genfuncid(args.k or 5, args.cap or 12)))
-    if want("lemma"):
-        checks.append(("lemma", _check_lemma(args.max_n or 12)))
-    if want("macmahon"):
-        checks.append(("macmahon", _check_macmahon(args.max_n or 12)))
-    if want("jointstat"):
-        checks.append(("jointstat", _check_jointstat(args.k or 4, args.cap or 9)))
-    if want("foata"):
-        checks.append(("foata", _check_foata(args.k or 7)))
-    if want("equidist"):
-        checks.append(("equidist", _check_equidist(args.k or 7, args.cap or 12)))
-
-    failed = False
-    for name, (ok, detail) in checks:
-        if ok:
-            print(f"PASS {name}: {detail}")
-        else:
-            print(f"FAIL {name}: {detail}")
-            failed = True
+    checks = {
+        "prod": lambda: _check_prod(args.k or 4, args.cap or 8),
+        "geneuler": lambda: _check_geneuler(args.k or 6),
+        "genfuncid": lambda: _check_genfuncid(args.k or 5, args.cap or 12),
+        "lemma": lambda: _check_lemma(args.max_n or 12),
+        "macmahon": lambda: _check_macmahon(args.max_n or 12),
+        "jointstat": lambda: _check_jointstat(args.k or 4, args.cap or 9),
+        "foata": lambda: _check_foata(args.k or 7),
+        "equidist": lambda: _check_equidist(args.k or 7, args.cap or 12),
+    }
+    failed = errored = False
+    for name, check in checks.items():
+        if args.suite not in ("all", name):
+            continue
+        try:
+            ok, detail = check()
+        except InexactDivision:
+            raise
+        except CompstatsError as exc:
+            print(f"ERROR {name}: {exc}", flush=True)
+            errored = True
+            continue
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", flush=True)
+        failed = failed or not ok
+    if errored:
+        return EXIT_USAGE
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -347,11 +351,12 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         for name, value in (("--k", args.k), ("--cap", args.cap), ("--max-n", args.max_n)):
             if value is not None and value < 0:
                 parser.error(f"{name} must be nonnegative")
-        if args.suite in ("foata", "equidist") and (args.k or 0) > 7:
+        runs = {args.suite} if args.suite != "all" else set(VERIFY_SUITES)
+        if runs & {"foata", "equidist"} and (args.k or 0) > 7:
             parser.error("--k is capped at 7 for permutation sweeps")
-        if args.suite in ("lemma", "macmahon") and (args.max_n or 0) > 16:
+        if runs & {"lemma", "macmahon"} and (args.max_n or 0) > 16:
             parser.error("--max-n is capped at 16 for composition sweeps")
-        if args.suite == "jointstat" and (args.k or 0) > 7:
+        if "jointstat" in runs and (args.k or 0) > 7:
             parser.error("--k is capped at 7 for the joint distribution")
         if (args.cap or 0) > distributions.TABLE_LIMIT:
             parser.error(f"--cap is capped at {distributions.TABLE_LIMIT}")
@@ -365,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
+    except InexactDivision as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (BFileParseError, UnknownSequence, NetworkUnavailable,
             CompstatsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,11 +130,12 @@ def syt_count_q(shape: Sequence[int], var: str = "q") -> Poly:
     return result
 
 
-def q_eulerian_weight(shape: Sequence[int]) -> Poly:
+def q_eulerian_weight(shape: Sequence[int], max_q: int | None = None) -> Poly:
     """l! [n]_q! / prod_i (m_i! ([i]_q!)^m_i) over the part multiplicities m_i.
 
     This is the weight a partition carries in the partition-indexed formula
-    for the joint (inv, des) distribution over permutations.
+    for the joint (inv, des) distribution over permutations; with ``max_q``
+    it is cut at q^max_q.
     """
     shape = check_partition(shape)
     if not shape:
@@ -142,7 +143,7 @@ def q_eulerian_weight(shape: Sequence[int]) -> Poly:
     arrangements = factorial(len(shape))
     for mult in multiplicities(shape).values():
         arrangements //= factorial(mult)
-    return arrangements * q_multinomial(shape)
+    return arrangements * q_multinomial(shape, max_q)
 
 
 def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:

@@ -245,12 +245,10 @@ class Poly:
 
     def truncate(self, caps: Mapping[str, int]) -> Poly:
         """Discard every term whose exponent exceeds the cap in any capped variable."""
-        indexed = [(_VAR_INDEX[name], cap) for name, cap in caps.items()]
-        out = {
-            key: coeff
-            for key, coeff in self._terms.items()
-            if all(key[i] <= cap for i, cap in indexed)
-        }
+        out = self._terms
+        for name, cap in caps.items():
+            i = _VAR_INDEX[name]
+            out = {key: coeff for key, coeff in out.items() if key[i] <= cap}
         result = Poly.__new__(Poly)
         result._terms = out
         return result

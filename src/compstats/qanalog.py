@@ -55,16 +55,20 @@ def gaussian_binomial(n: int, k: int) -> Poly:
     return _gauss(n, k)
 
 
-def q_multinomial(parts: tuple[int, ...]) -> Poly:
+def q_multinomial(parts: tuple[int, ...], max_q: int | None = None) -> Poly:
     """q-analog of the multinomial coefficient (sum parts; parts).
 
     Computed as a product of Gaussian binomials over suffix sums, which keeps
-    the arithmetic division-free and shares the memoized Pascal table.
+    the arithmetic division-free and shares the memoized Pascal table.  With
+    ``max_q`` every factor and every partial product is cut at q^max_q; the
+    coefficients up to q^max_q stay exact, since a dropped term only feeds
+    higher powers.
     """
+    cut = {} if max_q is None else {"q": max_q}
     remaining = sum(parts)
     result = Poly.one()
-    for part in parts:
-        result = result * gaussian_binomial(remaining, part)
+    for part in parts[:-1]:  # the last factor is gauss(part, part) = 1
+        result = (result * gaussian_binomial(remaining, part).truncate(cut)).truncate(cut)
         remaining -= part
     return result
 

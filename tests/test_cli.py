@@ -148,6 +148,35 @@ def test_verify_scale_bounds(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "foata", "--k", "9"])
     assert exc.value.code == 2
+    # --suite all runs foata too, so the same cap applies
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--k", "8", "--cap", "4"])
+    assert exc.value.code == 2
+
+
+def test_verify_all_reports_every_suite(capsys):
+    # jointstat needs cap >= k; the other suites still run and report
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
+    assert code == 2
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS prod", "PASS geneuler", "PASS genfuncid", "PASS lemma", "PASS macmahon",
+        "ERROR jointstat", "PASS foata", "PASS equidist"]
+    assert lines[5] == "ERROR jointstat: cap 4 cannot hold the leading term of degree 5"
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    from compstats import partitions
+    from compstats.errors import InexactDivision
+
+    def inexact(numerator, denominator, var):
+        raise InexactDivision("nonzero remainder in supposedly exact division")
+
+    monkeypatch.setattr(partitions, "divexact", inexact)
+    code, out, err = run(capsys, "table", "ic", "--max-n", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: nonzero remainder in supposedly exact division\n"
 
 
 def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 import json
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -7,6 +7,7 @@ from compstats.compositions import statistic_distribution as composition_distrib
 from compstats.distributions import (
     TABLE_LIMIT,
     DistTable,
+    _q_eulerian_sum,
     comaj_des_gf,
     des_gf,
     des_gf_total,
@@ -102,6 +103,13 @@ def test_q_eulerian_specializations():
     assert q_eulerian_poly(3).eval_at_one("q") == 1 + 4 * t + t ** 2
 
 
+def test_q_eulerian_sum_cut_is_exact_truncation():
+    for k in range(9):
+        exact = q_eulerian_poly(k)
+        for max_q in range(comb(k, 2) + 1):
+            assert _q_eulerian_sum(k, max_q) == exact.truncate({"q": max_q})
+
+
 def test_q_eulerian_coefficients_nonnegative():
     for k in range(9):
         for _, coeff in q_eulerian_poly(k).terms():
@@ -177,7 +185,8 @@ def test_des_gf_against_brute_force():
 
 
 def test_des_gf_total_matches_rational_form():
-    assert des_gf_total_rational(12) == des_gf_total(12)
+    # past the n <= 16 that enumeration reaches
+    assert des_gf_total_rational(TABLE_LIMIT) == des_gf_total(TABLE_LIMIT)
 
 
 def test_des_gf_total_spot_values():
@@ -277,13 +286,24 @@ def test_verify_composition_count_identity():
 # DistTable
 # ---------------------------------------------------------------------------
 
+def check_table_invariants(table: DistTable) -> None:
+    """Known kind, nonnegative counts, and row sums 2^(n-1) for the all-k kinds."""
+    assert table.kind in ("ic_n", "ic_nk", "dc_n", "dc_nk")
+    for (n, r), count in table.entries.items():
+        assert count >= 0, f"negative count {count} at (n={n}, r={r})"
+    if table.kind in ("ic_n", "dc_n"):
+        for n in range(1, table.cap + 1):
+            total = sum(c for (row_n, _), c in table.entries.items() if row_n == n)
+            assert total == 2 ** (n - 1), f"row {n} sums to {total}, expected {2 ** (n - 1)}"
+
+
 def test_dist_table_counts_and_rows():
     table = DistTable.inversions(6)
     assert table.kind == "ic_n"
     assert table.count(6, 4) == 2
     assert table.row(6) == [11, 8, 7, 4, 2]
     assert table.row(0) == [1]
-    table.validate()
+    check_table_invariants(table)
 
 
 def test_dist_table_fixed_k():
@@ -291,14 +311,14 @@ def test_dist_table_fixed_k():
     assert table.kind == "ic_nk"
     assert table.k == 2
     assert table.count(3, 1) == 1
-    table.validate()
+    check_table_invariants(table)
 
 
 def test_dist_table_descents():
     table = DistTable.descents(6)
     assert table.kind == "dc_n"
     assert table.row(6) == [11, 19, 2]
-    table.validate()
+    check_table_invariants(table)
 
 
 def test_dist_table_more_parts_than_cap_is_all_zero():

@@ -11,6 +11,7 @@ from compstats.qanalog import (
     pochhammer_inverse_series,
     q_factorial,
     q_int,
+    q_multinomial,
     q_pochhammer,
 )
 from compstats.statistics import inversions, major_index
@@ -77,6 +78,30 @@ def test_gaussian_binomial_out_of_range():
         gaussian_binomial(3, -1)
     with pytest.raises(OutOfRange):
         gaussian_binomial(3, 4)
+
+
+MULTINOMIAL_PARTS = ((), (3,), (1, 1), (2, 1, 1), (3, 2), (2, 2, 1), (1, 1, 1, 1), (3, 1, 2))
+
+
+def _word_inversions(parts):
+    # oracle: sum q^inv over the distinct words with parts[i] copies of letter i
+    letters = tuple(i for i, part in enumerate(parts) for _ in range(part))
+    total = Poly.zero()
+    for word in set(iter_permutations(letters)):
+        total = total + Poly.variable("q", inversions(word))
+    return total
+
+
+@pytest.mark.parametrize("parts", MULTINOMIAL_PARTS)
+def test_q_multinomial_against_word_oracle(parts):
+    assert q_multinomial(parts) == _word_inversions(parts)
+
+
+@pytest.mark.parametrize("parts", MULTINOMIAL_PARTS)
+def test_q_multinomial_cut_is_exact_truncation(parts):
+    exact = q_multinomial(parts)
+    for max_q in range(exact.degree("q") + 2):
+        assert q_multinomial(parts, max_q) == exact.truncate({"q": max_q})
 
 
 def test_q_one_specializations():

@@ -11,35 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import distributions, oeis
-from .compositions import (
-    all_compositions,
-    composition_stats,
-    format_composition,
-    macmahon_forward,
-    macmahon_inverse,
-    parse_composition,
-    reversed_composition,
-    sorting_permutation,
-    statistic_distribution as composition_distribution,
-)
+# each subcommand imports the rest of what it runs, so a table never loads
+# the enumeration or OEIS modules
+from . import distributions
 from .errors import (
     BFileParseError,
     CompstatsError,
     InexactDivision,
     NetworkUnavailable,
     UnknownSequence,
-)
-from .permutations import (
-    all_permutations,
-    foata,
-    foata_inverse,
-    format_permutation,
-    inverse_permutation,
-    permutation_stats,
-    statistic_distribution as permutation_distribution,
 )
 from .polynomial import Poly, monomial_exponents
 
@@ -105,6 +86,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bij(args: argparse.Namespace) -> int:
+    from .compositions import (format_composition, macmahon_forward, macmahon_inverse,
+                               parse_composition)
+    from .permutations import format_permutation, permutation_stats
+
     sigma = parse_composition(args.composition)
     if not sigma:
         raise CompstatsError("the empty composition is not in the bijection's domain")
@@ -159,6 +144,10 @@ def _check_genfuncid(max_k: int, cap: int) -> tuple[bool, str]:
 
 
 def _check_lemma(max_n: int) -> tuple[bool, str]:
+    from .compositions import (all_compositions, composition_stats, format_composition,
+                               reversed_composition, sorting_permutation)
+    from .permutations import permutation_stats
+
     for n in range(1, max_n + 1):
         for sigma in all_compositions(n):
             pi = sorting_permutation(sigma)
@@ -178,6 +167,10 @@ def _check_lemma(max_n: int) -> tuple[bool, str]:
 
 
 def _check_macmahon(max_n: int) -> tuple[bool, str]:
+    from .compositions import (all_compositions, format_composition, macmahon_forward,
+                               macmahon_inverse)
+    from .permutations import permutation_stats
+
     for n in range(1, max_n + 1):
         for sigma in all_compositions(n):
             pi, lam = macmahon_forward(sigma)
@@ -193,6 +186,8 @@ def _check_macmahon(max_n: int) -> tuple[bool, str]:
 
 
 def _check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
+    from .compositions import statistic_distribution as composition_distribution
+
     stats = ("sum", "inv", "comaj", "maj", "des")
     variables = ("p", "q", "t", "u", "v")
     for k in range(max_k + 1):
@@ -205,6 +200,9 @@ def _check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
 
 
 def _check_foata(max_k: int) -> tuple[bool, str]:
+    from .permutations import (all_permutations, foata, foata_inverse, format_permutation,
+                               inverse_permutation, permutation_stats)
+
     for k in range(max_k + 1):
         for pi in all_permutations(k):
             image = foata(pi)
@@ -222,6 +220,9 @@ def _check_foata(max_k: int) -> tuple[bool, str]:
 
 
 def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
+    from .compositions import statistic_distribution as composition_distribution
+    from .permutations import statistic_distribution as permutation_distribution
+
     for k in range(max_k + 1):
         reference = permutation_distribution(k, ("imaj", "maj"), ("p", "q"))
         for stats in (("inv", "imaj"), ("maj", "inv")):
@@ -245,16 +246,22 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
                   f"cap {comp_cap}")
 
 
+def _given(value: int | None, default: int) -> int:
+    """An optional bound's value; ``default`` only when it was left out (0 is a bound)."""
+    return default if value is None else value
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    k, cap, max_n = args.k, args.cap, args.max_n
     checks = {
-        "prod": lambda: _check_prod(args.k or 4, args.cap or 8),
-        "geneuler": lambda: _check_geneuler(args.k or 6),
-        "genfuncid": lambda: _check_genfuncid(args.k or 5, args.cap or 12),
-        "lemma": lambda: _check_lemma(args.max_n or 12),
-        "macmahon": lambda: _check_macmahon(args.max_n or 12),
-        "jointstat": lambda: _check_jointstat(args.k or 4, args.cap or 9),
-        "foata": lambda: _check_foata(args.k or 7),
-        "equidist": lambda: _check_equidist(args.k or 7, args.cap or 12),
+        "prod": lambda: _check_prod(_given(k, 4), _given(cap, 8)),
+        "geneuler": lambda: _check_geneuler(_given(k, 6)),
+        "genfuncid": lambda: _check_genfuncid(_given(k, 5), _given(cap, 12)),
+        "lemma": lambda: _check_lemma(_given(max_n, 12)),
+        "macmahon": lambda: _check_macmahon(_given(max_n, 12)),
+        "jointstat": lambda: _check_jointstat(_given(k, 4), _given(cap, 9)),
+        "foata": lambda: _check_foata(_given(k, 7)),
+        "equidist": lambda: _check_equidist(_given(k, 7), _given(cap, 12)),
     }
     failed = errored = False
     for name, check in checks.items():
@@ -280,6 +287,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oeis_check(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from . import oeis
+
     if args.fetch:
         bfile = oeis.fetch_bfile(args.seq)
         metadata = None
@@ -289,6 +300,9 @@ def cmd_oeis_check(args: argparse.Namespace) -> int:
         sidecar = path.parent / "metadata.json"
         metadata = oeis.load_metadata(sidecar) if sidecar.exists() else None
     report = oeis.check_sequence(args.seq, bfile, args.max_n, metadata)
+    if not report.terms_checked:
+        raise CompstatsError(f"{args.seq}: nothing to compare: no b-file index falls in "
+                             f"the terms computed for --max-n {args.max_n}")
     print(report.summary())
     return EXIT_OK if report.agree else EXIT_VERIFY_FAILED
 

@@ -13,11 +13,9 @@ nothing beyond the cap is claimed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from . import permutations
 from .errors import CapTooSmall, DenominatorNotUnit, TooLarge
 from .partitions import b_statistic, partitions_of, q_eulerian_weight, syt_count_q
 from .polynomial import Poly, Series, divexact, geometric_series
@@ -194,6 +192,8 @@ def comaj_des_gf(k: int, cap: int) -> Series:
     if k > COMAJ_DES_PERMUTATION_LIMIT:
         raise TooLarge(f"k = {k} exceeds the S_k enumeration limit "
                        f"{COMAJ_DES_PERMUTATION_LIMIT}")
+    from . import permutations
+
     dist = permutations.statistic_distribution(k, ("maj", "imaj", "ides"), ("p", "q", "t"))
     return _leading_over_pochhammer(k, "p", cap) * dist
 
@@ -209,6 +209,8 @@ def joint_gf(k: int, cap: int) -> Series:
     if k > JOINT_PERMUTATION_LIMIT:
         raise TooLarge(f"k = {k} exceeds the S_k enumeration limit "
                        f"{JOINT_PERMUTATION_LIMIT}")
+    from . import permutations
+
     dist = permutations.statistic_distribution(
         k, ("maj", "inv", "imaj", "icomaj", "ides"), ("p", "q", "t", "u", "v"))
     return _leading_over_pochhammer(k, "p", cap) * dist
@@ -313,16 +315,34 @@ def verify_composition_count_identity(k: int, cap: int) -> bool:
 # Count tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DistTable:
     """Triangle of counts: (n, r) -> number of compositions of n with r
     inversions (ic kinds) or r descents (dc kinds), optionally for a fixed
-    part count k (all zero when k exceeds the cap)."""
+    part count k (all zero when k exceeds the cap).
 
-    kind: str
-    cap: int
-    k: int | None
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    Immutable; equal when all four fields are equal; the repr omits ``entries``.
+    """
+
+    __slots__ = ("kind", "cap", "k", "entries")
+
+    def __init__(self, kind: str, cap: int, k: int | None,
+                 entries: dict[tuple[int, int], int]) -> None:
+        for name, value in zip(self.__slots__, (kind, cap, k, entries)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable DistTable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable DistTable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"DistTable(kind={self.kind!r}, cap={self.cap!r}, k={self.k!r})"
 
     @classmethod
     def inversions(cls, cap: int, k: int | None = None) -> DistTable:

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
-from urllib.error import URLError
-from urllib.request import urlopen
 
 from .distributions import DistTable, inversion_totals
 from .errors import BFileParseError, NetworkUnavailable, UnknownSequence
@@ -76,7 +74,11 @@ def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:
 
 
 def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
-    """Download a b-file from oeis.org; never used by the test suite."""
+    """Download a b-file from oeis.org; the test suite never reaches the network."""
+    # imported here so that only a fetch pays for loading the network stack
+    from urllib.error import URLError
+    from urllib.request import urlopen
+
     digits = sequence_id.lstrip("A")
     url = OEIS_BFILE_URL.format(seq=sequence_id, digits=digits)
     try:

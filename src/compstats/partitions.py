@@ -8,9 +8,9 @@ output order is stable across runs.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
 
 from .errors import EmptyPartition, InexactDivision, TooLarge
 from .polynomial import Poly, divexact

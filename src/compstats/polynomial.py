@@ -14,7 +14,7 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import CapVarMismatch, InexactDivision, NonConvergent
 

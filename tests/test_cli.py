@@ -154,6 +154,18 @@ def test_verify_scale_bounds(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_zero_bounds_are_not_replaced_by_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "foata", "--k", "0")
+    assert code == 0
+    assert out == "PASS foata: S_k for k 0..0\n"
+    code, out, _ = run(capsys, "verify", "--suite", "lemma", "--max-n", "0")
+    assert code == 0
+    assert out == "PASS lemma: all compositions with sum <= 0\n"
+    code, out, _ = run(capsys, "verify", "--suite", "jointstat", "--cap", "0")
+    assert code == 2
+    assert out.startswith("ERROR jointstat: ")
+
+
 def test_verify_all_reports_every_suite(capsys):
     # jointstat needs cap >= k; the other suites still run and report
     code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
@@ -232,6 +244,15 @@ def test_oeis_check_unknown_sequence(tmp_path, capsys):
                        "--bfile", str(some), "--max-n", "5")
     assert code == 2
     assert "error" in err
+
+
+def test_oeis_check_comparing_nothing_is_an_error(capsys):
+    code, out, err = run(capsys, "oeis-check", "--seq", "A189052",
+                         "--bfile", str(DATA / "oeis" / "b189052.txt"), "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert "nothing to compare" in err
+    assert "--max-n 0" in err
 
 
 def test_oeis_check_over_table_limit(capsys):

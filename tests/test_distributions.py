@@ -336,6 +336,21 @@ def test_dist_table_too_large():
         DistTable.descents(TABLE_LIMIT + 1, k=2)
 
 
+def test_dist_table_is_an_immutable_value():
+    table = DistTable.inversions(4)
+    assert table == DistTable("ic_n", 4, None, dict(table.entries))
+    assert table != DistTable.inversions(4, k=2)
+    assert table != DistTable("dc_n", 4, None, table.entries)
+    assert table != ("ic_n", 4, None, table.entries)
+    assert repr(table) == "DistTable(kind='ic_n', cap=4, k=None)"
+    with pytest.raises(AttributeError):
+        table.cap = 5
+    with pytest.raises(AttributeError):
+        del table.entries
+    with pytest.raises(TypeError):
+        hash(table)
+
+
 def test_dist_table_csv():
     table = DistTable.descents(4)
     lines = table.to_csv().splitlines()

@@ -1,11 +1,15 @@
+import io
+import urllib.request
 from pathlib import Path
+from urllib.error import URLError
 
 import pytest
 
-from compstats.errors import BFileParseError, UnknownSequence
+from compstats.errors import BFileParseError, NetworkUnavailable, UnknownSequence
 from compstats.oeis import (
     BFile,
     check_sequence,
+    fetch_bfile,
     load_bfile,
     load_metadata,
     parse_bfile,
@@ -34,6 +38,28 @@ def test_load_bfile_derives_sequence_id():
     bfile = load_bfile(FIXTURES / "b189074.txt")
     assert bfile.sequence_id == "A189074"
     assert bfile.rows[0] == (1, 1)
+
+
+def test_fetch_bfile_reads_through_urlopen(monkeypatch):
+    requested = []
+
+    def serve(url, timeout):
+        requested.append(url)
+        return io.BytesIO(b"# A189052\n1 0\n2 0\n3 2\n")
+
+    monkeypatch.setattr(urllib.request, "urlopen", serve)
+    bfile = fetch_bfile("A189052")
+    assert requested == ["https://oeis.org/A189052/b189052.txt"]
+    assert bfile == BFile("A189052", ((1, 0), (2, 0), (3, 2)))
+
+
+def test_fetch_bfile_maps_url_error_to_network_unavailable(monkeypatch):
+    def refuse(url, timeout):
+        raise URLError("no route to host")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    with pytest.raises(NetworkUnavailable, match="could not fetch .*b189052.txt.*no route"):
+        fetch_bfile("A189052")
 
 
 def test_sequence_terms_triangle_start():

@@ -38,6 +38,13 @@ GRID_COLUMNS = {"ic": 13, "dc": 6}
 VERIFY_SUITES = ("all", "prod", "geneuler", "genfuncid", "lemma", "macmahon",
                  "jointstat", "foata", "equidist")
 
+# the largest --k a suite accepts: prod and geneuler build the S_k polynomials
+# that hk caps, genfuncid the k-part series that tables cap, and the others
+# enumerate S_k or every k-part composition
+VERIFY_K_LIMITS = {"prod": HK_LIMIT, "geneuler": HK_LIMIT,
+                   "genfuncid": distributions.TABLE_LIMIT,
+                   "jointstat": 7, "foata": 7, "equidist": 7}
+
 
 # ---------------------------------------------------------------------------
 # hk
@@ -88,14 +95,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_bij(args: argparse.Namespace) -> int:
     from .compositions import (format_composition, macmahon_forward, macmahon_inverse,
                                parse_composition)
-    from .permutations import format_permutation, permutation_stats
+    from .permutations import format_permutation
+    from .statistics import major_index
 
     sigma = parse_composition(args.composition)
     if not sigma:
         raise CompstatsError("the empty composition is not in the bijection's domain")
     pi, lam = macmahon_forward(sigma)
     mu = tuple(sigma[i - 1] for i in pi)
-    maj = permutation_stats(pi).maj
+    maj = major_index(pi)
     reconstructed = macmahon_inverse(pi, lam)
     print(f"composition:   {format_composition(sigma)}")
     print(f"sum:           {sum(sigma)}")
@@ -144,20 +152,21 @@ def _check_genfuncid(max_k: int, cap: int) -> tuple[bool, str]:
 
 
 def _check_lemma(max_n: int) -> tuple[bool, str]:
-    from .compositions import (all_compositions, composition_stats, format_composition,
-                               reversed_composition, sorting_permutation)
-    from .permutations import permutation_stats
+    from .compositions import (all_compositions, format_composition, reversed_composition,
+                               sorting_permutation)
+    from .permutations import inverse_permutation
+    from .statistics import comajor_index, descent_number, inversions, major_index
 
     for n in range(1, max_n + 1):
         for sigma in all_compositions(n):
             pi = sorting_permutation(sigma)
-            pi_stats = permutation_stats(pi)
-            rev = composition_stats(reversed_composition(sigma))
+            inverse = inverse_permutation(pi)
+            rev = reversed_composition(sigma)
             pairs = (
-                ("inv", pi_stats.inv, rev.inv),
-                ("imaj=comaj^R", pi_stats.imaj, rev.comaj),
-                ("icomaj=maj^R", pi_stats.icomaj, rev.maj),
-                ("ides=des^R", pi_stats.ides, rev.des),
+                ("inv", inversions(pi), inversions(rev)),
+                ("imaj=comaj^R", major_index(inverse), comajor_index(rev)),
+                ("icomaj=maj^R", comajor_index(inverse), major_index(rev)),
+                ("ides=des^R", descent_number(inverse), descent_number(rev)),
             )
             for label, actual, expected in pairs:
                 if actual != expected:
@@ -169,12 +178,12 @@ def _check_lemma(max_n: int) -> tuple[bool, str]:
 def _check_macmahon(max_n: int) -> tuple[bool, str]:
     from .compositions import (all_compositions, format_composition, macmahon_forward,
                                macmahon_inverse)
-    from .permutations import permutation_stats
+    from .statistics import major_index
 
     for n in range(1, max_n + 1):
         for sigma in all_compositions(n):
             pi, lam = macmahon_forward(sigma)
-            maj = permutation_stats(pi).maj
+            maj = major_index(pi)
             if sum(lam) + maj != n:
                 return False, (f"sigma={format_composition(sigma)}: "
                                f"|lambda| + maj = {sum(lam)} + {maj} != {n}")
@@ -201,16 +210,17 @@ def _check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
 
 def _check_foata(max_k: int) -> tuple[bool, str]:
     from .permutations import (all_permutations, foata, foata_inverse, format_permutation,
-                               inverse_permutation, permutation_stats)
+                               inverse_permutation)
+    from .statistics import descent_set, inversions, major_index
 
     for k in range(max_k + 1):
         for pi in all_permutations(k):
             image = foata(pi)
-            if permutation_stats(pi).maj != permutation_stats(image).inv:
-                return False, (f"pi={format_permutation(pi)}: maj {permutation_stats(pi).maj} "
-                               f"!= inv(foata) {permutation_stats(image).inv}")
-            before = permutation_stats(inverse_permutation(pi)).descent_set
-            after = permutation_stats(inverse_permutation(image)).descent_set
+            maj, inv = major_index(pi), inversions(image)
+            if maj != inv:
+                return False, f"pi={format_permutation(pi)}: maj {maj} != inv(foata) {inv}"
+            before = descent_set(inverse_permutation(pi))
+            after = descent_set(inverse_permutation(image))
             if before != after:
                 return False, (f"pi={format_permutation(pi)}: inverse descent set "
                                f"{before} became {after}")
@@ -366,12 +376,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             if value is not None and value < 0:
                 parser.error(f"{name} must be nonnegative")
         runs = {args.suite} if args.suite != "all" else set(VERIFY_SUITES)
-        if runs & {"foata", "equidist"} and (args.k or 0) > 7:
-            parser.error("--k is capped at 7 for permutation sweeps")
+        for suite, limit in VERIFY_K_LIMITS.items():
+            if suite in runs and (args.k or 0) > limit:
+                parser.error(f"--k is capped at {limit} for --suite {suite}")
         if runs & {"lemma", "macmahon"} and (args.max_n or 0) > 16:
             parser.error("--max-n is capped at 16 for composition sweeps")
-        if "jointstat" in runs and (args.k or 0) > 7:
-            parser.error("--k is capped at 7 for the joint distribution")
         if (args.cap or 0) > distributions.TABLE_LIMIT:
             parser.error(f"--cap is capped at {distributions.TABLE_LIMIT}")
     if args.command == "oeis-check" and not args.fetch and not args.bfile:

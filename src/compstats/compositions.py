@@ -7,20 +7,21 @@ results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from . import statistics
 from .errors import EmptyComposition, LengthMismatch, TooLarge
 from .partitions import Partition, check_partition
 from .permutations import Permutation, check_permutation, inverse_permutation
-from .polynomial import Poly, Series, monomial_key
+from .polynomial import Series
 
 Composition = tuple[int, ...]
 
 ENUMERATION_LIMIT = 24
 
-STAT_NAMES = ("sum", "inv", "des", "maj", "comaj")
+# statistic name -> its value on a composition
+STATISTICS = {"sum": sum, **statistics.STATISTICS}
 
 
 def check_composition(sigma: Sequence[int]) -> Composition:
@@ -71,27 +72,14 @@ def format_composition(sigma: Sequence[int]) -> str:
     return ",".join(str(part) for part in sigma)
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionStats:
-    sum: int
-    inv: int
-    des: int
-    descent_set: tuple[int, ...]
-    maj: int
-    comaj: int
+CompositionStats = namedtuple("CompositionStats", (*STATISTICS, "descent_set"))
 
 
 def composition_stats(sigma: Sequence[int]) -> CompositionStats:
+    """Every statistic of :data:`STATISTICS` and the descent set."""
     sigma = check_composition(sigma)
-    descents = statistics.descent_set(sigma)
-    return CompositionStats(
-        sum=sum(sigma),
-        inv=statistics.inversions(sigma),
-        des=len(descents),
-        descent_set=descents,
-        maj=sum(descents),
-        comaj=statistics.comajor_index(sigma),
-    )
+    return CompositionStats(*(statistic(sigma) for statistic in STATISTICS.values()),
+                            statistics.descent_set(sigma))
 
 
 def reversed_composition(sigma: Sequence[int]) -> Composition:
@@ -157,23 +145,10 @@ def statistic_distribution(k: int, cap: int, stats: Sequence[str],
     """
     if cap > ENUMERATION_LIMIT:
         raise TooLarge(f"cap {cap} exceeds the enumeration limit {ENUMERATION_LIMIT}")
-    if len(stats) != len(variables):
-        raise ValueError("need exactly one variable per statistic")
-    if len(set(variables)) != len(variables):
-        raise ValueError("statistic variables must be distinct")
-    for stat in stats:
-        if stat not in STAT_NAMES:
-            raise ValueError(f"unknown composition statistic {stat!r}")
     if "sum" not in stats:
         raise ValueError('the "sum" statistic is required to anchor the truncation')
     if k < 0:
         raise ValueError(f"part count must be nonnegative, got {k}")
-    cap_var = variables[list(stats).index("sum")]
-    accumulator: dict = {}
-    for n in range(k, cap + 1):
-        for sigma in compositions_of(n, k):
-            record = composition_stats(sigma)
-            key = monomial_key({var: getattr(record, stat)
-                                for stat, var in zip(stats, variables)})
-            accumulator[key] = accumulator.get(key, 0) + 1
-    return Series(Poly(accumulator), cap_var, cap)
+    objects = (sigma for n in range(k, cap + 1) for sigma in compositions_of(n, k))
+    body = statistics.distribution(objects, stats, variables, STATISTICS)
+    return Series(body, variables[list(stats).index("sum")], cap)

@@ -9,9 +9,9 @@ index offset and triangle reading order, comes from fixture metadata; the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping
 
 from .distributions import DistTable, inversion_totals
 from .errors import BFileParseError, NetworkUnavailable, UnknownSequence
@@ -33,10 +33,8 @@ SEQUENCES: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class BFile:
-    sequence_id: str
-    rows: tuple[tuple[int, int], ...]
+# rows: the (index, value) pairs in increasing index order
+BFile = namedtuple("BFile", "sequence_id rows")
 
 
 def parse_bfile(text: str, sequence_id: str = "") -> BFile:
@@ -129,12 +127,9 @@ def sequence_terms(sequence_id: str, max_n: int,
     return terms
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    sequence_id: str
-    terms_checked: int
-    agree: bool
-    first_mismatch: tuple[int, int, int] | None  # (index, bfile value, computed value)
+# first_mismatch: None, or (index, b-file value, computed value)
+class CheckReport(namedtuple("CheckReport", "sequence_id terms_checked agree first_mismatch")):
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.agree:

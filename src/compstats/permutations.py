@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import permutations as _itertools_permutations
-from typing import Iterator, Sequence
 
 from . import statistics
 from .errors import TooLarge
-from .polynomial import Poly, monomial_key
+from .polynomial import Poly
 
 Permutation = tuple[int, ...]
 
 ENUMERATION_LIMIT = 10
-
-STAT_NAMES = ("inv", "des", "maj", "comaj", "imaj", "ides", "icomaj")
 
 
 def check_permutation(pi: Sequence[int]) -> Permutation:
@@ -40,32 +38,31 @@ def inverse_permutation(pi: Sequence[int]) -> Permutation:
     return tuple(inverse)
 
 
-@dataclass(frozen=True, slots=True)
-class PermutationStats:
-    inv: int
-    des: int
-    descent_set: tuple[int, ...]
-    maj: int
-    comaj: int
-    imaj: int
-    ides: int
-    icomaj: int
+# imaj, ides and icomaj: maj, des and comaj of the inverse permutation
+_ON_INVERSE = ("maj", "des", "comaj")
+
+
+def _on_inverse(statistic: statistics.Statistic) -> statistics.Statistic:
+    return lambda pi: statistic(inverse_permutation(pi))
+
+
+# statistic name -> its value on a permutation
+STATISTICS = {
+    **statistics.STATISTICS,
+    **{f"i{name}": _on_inverse(statistics.STATISTICS[name]) for name in _ON_INVERSE},
+}
+
+PermutationStats = namedtuple("PermutationStats", (*STATISTICS, "descent_set"))
 
 
 def permutation_stats(pi: Sequence[int]) -> PermutationStats:
-    """All eight statistics; the i-prefixed ones are taken on the inverse."""
+    """Every statistic of :data:`STATISTICS` and the descent set; the inverse is taken once."""
     pi = check_permutation(pi)
     inverse = inverse_permutation(pi)
-    descents = statistics.descent_set(pi)
     return PermutationStats(
-        inv=statistics.inversions(pi),
-        des=len(descents),
-        descent_set=descents,
-        maj=sum(descents),
-        comaj=statistics.comajor_index(pi),
-        imaj=statistics.major_index(inverse),
-        ides=statistics.descent_number(inverse),
-        icomaj=statistics.comajor_index(inverse),
+        *(statistic(pi) for statistic in statistics.STATISTICS.values()),
+        *(statistics.STATISTICS[name](inverse) for name in _ON_INVERSE),
+        statistics.descent_set(pi),
     )
 
 
@@ -137,19 +134,4 @@ def foata_inverse(pi: Sequence[int]) -> Permutation:
 
 def statistic_distribution(k: int, stats: Sequence[str], variables: Sequence[str]) -> Poly:
     """Joint distribution polynomial sum over S_k of prod var_i^stat_i, by brute force."""
-    if k > ENUMERATION_LIMIT:
-        raise TooLarge(f"refusing to enumerate S_{k}; limit is {ENUMERATION_LIMIT}")
-    if len(stats) != len(variables):
-        raise ValueError("need exactly one variable per statistic")
-    if len(set(variables)) != len(variables):
-        raise ValueError("statistic variables must be distinct")
-    for stat in stats:
-        if stat not in STAT_NAMES:
-            raise ValueError(f"unknown permutation statistic {stat!r}")
-    accumulator: dict = {}
-    for pi in all_permutations(k):
-        record = permutation_stats(pi)
-        key = monomial_key({var: getattr(record, stat)
-                            for stat, var in zip(stats, variables)})
-        accumulator[key] = accumulator.get(key, 0) + 1
-    return Poly(accumulator)
+    return statistics.distribution(all_permutations(k), stats, variables, STATISTICS)

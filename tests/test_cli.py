@@ -152,6 +152,13 @@ def test_verify_scale_bounds(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "all", "--k", "8", "--cap", "4"])
     assert exc.value.code == 2
+    # the S_k polynomials of prod and geneuler are capped as hk is, genfuncid
+    # as the tables are; an over-limit --k is refused before any work
+    for suite, k, limit in (("prod", 9, 8), ("geneuler", 9, 8), ("genfuncid", 25, 24)):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--k", str(k)])
+        assert exc.value.code == 2
+        assert f"--k is capped at {limit} for --suite {suite}" in capsys.readouterr().err
 
 
 def test_verify_zero_bounds_are_not_replaced_by_defaults(capsys):

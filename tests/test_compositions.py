@@ -3,7 +3,9 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from compstats import statistics
 from compstats.compositions import (
+    STATISTICS,
     all_compositions,
     composition_stats,
     compositions_of,
@@ -17,7 +19,7 @@ from compstats.compositions import (
 )
 from compstats.errors import EmptyComposition, LengthMismatch, TooLarge
 from compstats.permutations import permutation_stats
-from compstats.polynomial import Poly, p, q
+from compstats.polynomial import Poly, monomial_key, p, q
 
 compositions = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple)
 
@@ -57,6 +59,31 @@ def test_composition_stats_worked_example():
     assert (flat.inv, flat.des, flat.maj, flat.comaj) == (0, 0, 0, 0)
     two_one = composition_stats((2, 1))
     assert (two_one.inv, two_one.des, two_one.maj) == (1, 1, 1)
+
+
+@given(compositions)
+def test_record_fields_read_the_table(sigma):
+    record = composition_stats(sigma)
+    assert record._fields == (*STATISTICS, "descent_set")
+    for name, statistic in STATISTICS.items():
+        assert getattr(record, name) == statistic(sigma)
+    assert record.sum == sum(sigma)
+    assert record.descent_set == statistics.descent_set(sigma)
+
+
+def test_distribution_counts_each_table_statistic():
+    cap = 8
+    for k in range(6):
+        for name, statistic in STATISTICS.items():
+            stats = tuple(dict.fromkeys(("sum", name)))  # ("sum",) for sum itself
+            variables = ("p", "q")[:len(stats)]
+            counts = {}
+            for n in range(k, cap + 1):
+                for sigma in compositions_of(n, k):
+                    key = monomial_key(dict(zip(variables, (n, statistic(sigma)))))
+                    counts[key] = counts.get(key, 0) + 1
+            series = statistic_distribution(k, cap, stats, variables)
+            assert series.body == Poly(counts)
 
 
 def test_reversed_composition():

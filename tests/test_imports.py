@@ -50,6 +50,18 @@ def test_cli_call_loads_only_what_its_subcommand_runs(argv):
     assert extra - stdlib - TABLE_PATH == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "foata", "--k", "3"),
+    ("bij", "2,1"),
+    ("oeis-check", "--seq", "A189074", "--bfile",
+     str(Path(__file__).parent / "data" / "oeis" / "b189074.txt"), "--max-n", "4"),
+])
+def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
+    used = loaded_modules(
+        "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+    assert "dataclasses" not in used
+
+
 def test_every_public_name_resolves():
     for name in compstats.__all__:
         value = getattr(compstats, name)

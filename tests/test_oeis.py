@@ -1,4 +1,6 @@
+import importlib.util
 import io
+import sys
 import urllib.request
 from pathlib import Path
 from urllib.error import URLError
@@ -110,3 +112,26 @@ def test_metadata_file_matches_defaults():
     for seq in ("A189052", "A189073", "A189074", "A238343", "A238344"):
         assert metadata[seq]["offset"] == 1
         assert metadata[seq]["n_start"] == 1
+
+
+def test_generate_fixtures_reproduces_the_bfiles(monkeypatch):
+    # load the generator without running it or leaving a bytecode cache behind
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "generate_fixtures", FIXTURES / "generate_fixtures.py")
+    generator = importlib.util.module_from_spec(spec)
+    listing = sorted(FIXTURES.iterdir())
+    spec.loader.exec_module(generator)
+    max_n = 10
+    computed = {
+        "A189052": generator.total_inversions(max_n),
+        "A189073": generator.flatten(generator.total_inversions_by_k(max_n)),
+        "A189074": generator.flatten(generator.inversion_triangle(max_n)),
+        "A238343": generator.flatten(generator.descent_triangle(max_n)),
+    }
+    computed["A238344"] = computed["A238343"]
+    for sequence_id, values in computed.items():
+        rows = load_bfile(FIXTURES / f"b{sequence_id[1:]}.txt").rows
+        assert [value for _, value in rows[:len(values)]] == values, sequence_id
+        assert [index for index, _ in rows[:len(values)]] == list(range(1, len(values) + 1))
+    assert sorted(FIXTURES.iterdir()) == listing

@@ -3,8 +3,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from compstats import statistics
 from compstats.errors import TooLarge
 from compstats.permutations import (
+    STATISTICS,
     all_permutations,
     foata,
     foata_inverse,
@@ -13,7 +15,7 @@ from compstats.permutations import (
     permutation_stats,
     statistic_distribution,
 )
-from compstats.polynomial import p, q, t
+from compstats.polynomial import Poly, monomial_key, p, q, t
 from compstats.qanalog import q_factorial
 
 
@@ -59,6 +61,19 @@ def test_stats_identity_and_reversal():
     assert stats.inv == 3
     assert stats.maj == 3
     assert stats.comaj == 3
+
+
+@given(permutations())
+def test_record_fields_read_the_table(pi):
+    record = permutation_stats(pi)
+    assert record._fields == (*STATISTICS, "descent_set")
+    for name, statistic in STATISTICS.items():
+        assert getattr(record, name) == statistic(pi)
+    assert record.descent_set == statistics.descent_set(pi)
+    inverse = inverse_permutation(pi)
+    assert (record.imaj, record.ides, record.icomaj) == (
+        statistics.major_index(inverse), statistics.descent_number(inverse),
+        statistics.comajor_index(inverse))
 
 
 @given(permutations())
@@ -137,6 +152,16 @@ def test_distribution_validation():
         statistic_distribution(3, ("size",), ("q",))
     with pytest.raises(TooLarge):
         statistic_distribution(11, ("inv",), ("q",))
+
+
+def test_distribution_counts_each_table_statistic():
+    for k in range(6):
+        for name, statistic in STATISTICS.items():
+            counts = {}
+            for pi in all_permutations(k):
+                counts[statistic(pi)] = counts.get(statistic(pi), 0) + 1
+            expected = Poly({monomial_key({"q": r}): c for r, c in counts.items()})
+            assert statistic_distribution(k, (name,), ("q",)) == expected
 
 
 def test_equidistribution_and_symmetry():

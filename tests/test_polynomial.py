@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from compstats.errors import CapVarMismatch, InexactDivision, NonConvergent
 from compstats.polynomial import (
+    VARIABLES,
     Poly,
     Series,
     divexact,
@@ -14,18 +15,16 @@ from compstats.polynomial import (
     p,
     q,
     t,
+    v,
 )
 
 
 @st.composite
-def small_polys(draw):
+def small_polys(draw, variables=("p", "q")):
     n_terms = draw(st.integers(0, 5))
     terms = {}
     for _ in range(n_terms):
-        key = monomial_key({
-            "p": draw(st.integers(0, 4)),
-            "q": draw(st.integers(0, 4)),
-        })
+        key = monomial_key({var: draw(st.integers(0, 4)) for var in variables})
         terms[key] = draw(st.integers(-5, 5))
     return Poly(terms)
 
@@ -122,6 +121,14 @@ def test_json_round_trip():
     data = json.loads(json.dumps(x.to_json_obj()))
     assert Poly.from_json_obj(data) == x
     assert data[0] == {"exponents": {}, "coefficient": "1"}
+
+
+@given(small_polys(VARIABLES))
+@example(Poly.zero())
+@example(-3 * p * v ** 2 + 5)
+def test_json_round_trip_property(x):
+    data = json.loads(json.dumps(x.to_json_obj()))
+    assert Poly.from_json_obj(data) == x
 
 
 def test_monomial_key_validation():

@@ -16,6 +16,7 @@ import sys
 # the enumeration or OEIS modules
 from . import distributions
 from .errors import (
+    LIMITS,
     BFileParseError,
     CompstatsError,
     InexactDivision,
@@ -29,21 +30,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-HK_LIMIT = 8
-
 # grid output mirrors the published row-per-n tables: inversions are shown
 # for r <= 12 and descents for r <= 5, zero-padded
 GRID_COLUMNS = {"ic": 13, "dc": 6}
-
-VERIFY_SUITES = ("all", "prod", "geneuler", "genfuncid", "lemma", "macmahon",
-                 "jointstat", "foata", "equidist")
-
-# the largest --k a suite accepts: prod and geneuler build the S_k polynomials
-# that hk caps, genfuncid the k-part series that tables cap, and the others
-# enumerate S_k or every k-part composition
-VERIFY_K_LIMITS = {"prod": HK_LIMIT, "geneuler": HK_LIMIT,
-                   "genfuncid": distributions.TABLE_LIMIT,
-                   "jointstat": 7, "foata": 7, "equidist": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +245,32 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
                   f"cap {comp_cap}")
 
 
-def _given(value: int | None, default: int) -> int:
-    """An optional bound's value; ``default`` only when it was left out (0 is a bound)."""
-    return default if value is None else value
+# suite -> its check and the bounds it reads, in argument order: option name ->
+# (default when the option is left out, the limit it may not exceed); prod and
+# geneuler build the S_k polynomials that hk caps, the enumerating suites sweep
+# S_k or every composition up to the bound
+SUITES = {
+    "prod": (_check_prod, {"k": (4, "hk"), "cap": (8, "table")}),
+    "geneuler": (_check_geneuler, {"k": (6, "hk")}),
+    "genfuncid": (_check_genfuncid, {"k": (5, "table"), "cap": (12, "table")}),
+    "lemma": (_check_lemma, {"max_n": (12, "sweep")}),
+    "macmahon": (_check_macmahon, {"max_n": (12, "sweep")}),
+    "jointstat": (_check_jointstat, {"k": (4, "joint"), "cap": (9, "compositions")}),
+    "foata": (_check_foata, {"k": (7, "joint")}),
+    "equidist": (_check_equidist, {"k": (7, "joint"), "cap": (12, "table")}),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    k, cap, max_n = args.k, args.cap, args.max_n
-    checks = {
-        "prod": lambda: _check_prod(_given(k, 4), _given(cap, 8)),
-        "geneuler": lambda: _check_geneuler(_given(k, 6)),
-        "genfuncid": lambda: _check_genfuncid(_given(k, 5), _given(cap, 12)),
-        "lemma": lambda: _check_lemma(_given(max_n, 12)),
-        "macmahon": lambda: _check_macmahon(_given(max_n, 12)),
-        "jointstat": lambda: _check_jointstat(_given(k, 4), _given(cap, 9)),
-        "foata": lambda: _check_foata(_given(k, 7)),
-        "equidist": lambda: _check_equidist(_given(k, 7), _given(cap, 12)),
-    }
     failed = errored = False
-    for name, check in checks.items():
+    for name, (check, bounds) in SUITES.items():
         if args.suite not in ("all", name):
             continue
+        # a default stands in only for an option left out: 0 is a bound
+        values = [default if getattr(args, option) is None else getattr(args, option)
+                  for option, (default, _) in bounds.items()]
         try:
-            ok, detail = check()
+            ok, detail = check(*values)
         except InexactDivision:
             raise
         except CompstatsError as exc:
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     bij.set_defaults(func=cmd_bij)
 
     verify = sub.add_parser("verify", help="run identity and bijection verification suites")
-    verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    verify.add_argument("--suite", choices=("all", *SUITES), default="all")
     verify.add_argument("--k", type=int, default=None, help="order / part-count bound")
     verify.add_argument("--cap", type=int, default=None, help="series truncation cap")
     verify.add_argument("--max-n", type=int, default=None, help="composition sum bound")
@@ -365,26 +357,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.command == "hk" and not 0 <= args.k <= HK_LIMIT:
-        parser.error(f"k must be between 0 and {HK_LIMIT}")
-    if args.command == "table" and not 0 <= args.max_n <= distributions.TABLE_LIMIT:
-        parser.error(f"--max-n must be between 0 and {distributions.TABLE_LIMIT}")
-    if args.command == "table" and args.k is not None and args.k < 0:
-        parser.error("--k must be nonnegative")
-    if args.command == "verify":
-        for name, value in (("--k", args.k), ("--cap", args.cap), ("--max-n", args.max_n)):
-            if value is not None and value < 0:
-                parser.error(f"{name} must be nonnegative")
-        runs = {args.suite} if args.suite != "all" else set(VERIFY_SUITES)
-        for suite, limit in VERIFY_K_LIMITS.items():
-            if suite in runs and (args.k or 0) > limit:
-                parser.error(f"--k is capped at {limit} for --suite {suite}")
-        if runs & {"lemma", "macmahon"} and (args.max_n or 0) > 16:
-            parser.error("--max-n is capped at 16 for composition sweeps")
-        if (args.cap or 0) > distributions.TABLE_LIMIT:
-            parser.error(f"--cap is capped at {distributions.TABLE_LIMIT}")
-    if args.command == "oeis-check" and not args.fetch and not args.bfile:
-        parser.error("provide --bfile PATH or --fetch")
+    def bound(flag: str, value: int, limit: str | None = None, where: str = "") -> None:
+        if value < 0:
+            parser.error(f"{flag} must be nonnegative")
+        if limit is not None and value > LIMITS[limit]:
+            parser.error(f"{flag} is capped at {LIMITS[limit]}{where}")
+
+    if args.command == "hk":
+        bound("k", args.k, "hk")
+    elif args.command == "table":
+        bound("--max-n", args.max_n, "table")
+        if args.k is not None:
+            bound("--k", args.k)
+    elif args.command == "oeis-check":
+        bound("--max-n", args.max_n)  # the library refuses one above its table limit
+        if not args.fetch and not args.bfile:
+            parser.error("provide --bfile PATH or --fetch")
+    elif args.command == "verify":
+        runs = SUITES if args.suite == "all" else {args.suite: SUITES[args.suite]}
+        for option in ("k", "cap", "max_n"):
+            flag, value = "--" + option.replace("_", "-"), getattr(args, option)
+            if value is None:
+                continue
+            readers = {suite: bounds[option][1] for suite, (_, bounds) in runs.items()
+                       if option in bounds}
+            if not readers:
+                parser.error(f"--suite {args.suite} does not read {flag}")
+            for suite, limit in readers.items():
+                bound(flag, value, limit, f" for --suite {suite}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,14 +11,12 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from . import statistics
-from .errors import EmptyComposition, LengthMismatch, TooLarge
+from .errors import EmptyComposition, LengthMismatch, check_size
 from .partitions import Partition, check_partition
 from .permutations import Permutation, check_permutation, inverse_permutation
 from .polynomial import Series
 
 Composition = tuple[int, ...]
-
-ENUMERATION_LIMIT = 24
 
 # statistic name -> its value on a composition
 STATISTICS = {"sum": sum, **statistics.STATISTICS}
@@ -33,10 +31,9 @@ def check_composition(sigma: Sequence[int]) -> Composition:
 
 def compositions_of(n: int, k: int) -> Iterator[Composition]:
     """All k-part compositions of n, colexicographically (last part varies slowest)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"need n, k >= 0, got ({n}, {k})")
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"refusing to enumerate compositions of {n} > {ENUMERATION_LIMIT}")
+    check_size("compositions", "n", n)
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
 
     def build(total: int, parts: int) -> Iterator[Composition]:
         if parts == 0:
@@ -143,8 +140,7 @@ def statistic_distribution(k: int, cap: int, stats: Sequence[str],
 
     ``stats`` must contain "sum"; its variable becomes the series cap variable.
     """
-    if cap > ENUMERATION_LIMIT:
-        raise TooLarge(f"cap {cap} exceeds the enumeration limit {ENUMERATION_LIMIT}")
+    check_size("compositions", "cap", cap)
     if "sum" not in stats:
         raise ValueError('the "sum" statistic is required to anchor the truncation')
     if k < 0:

@@ -16,14 +16,10 @@ import json
 from functools import lru_cache
 from math import comb
 
-from .errors import CapTooSmall, DenominatorNotUnit, TooLarge
+from .errors import CapTooSmall, DenominatorNotUnit, check_size
 from .partitions import b_statistic, partitions_of, q_eulerian_weight, syt_count_q
 from .polynomial import Poly, Series, divexact, geometric_series
 from .qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
-
-JOINT_PERMUTATION_LIMIT = 7
-COMAJ_DES_PERMUTATION_LIMIT = 8
-TABLE_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +185,7 @@ def des_gf_total_rational(cap: int) -> Series:
 def comaj_des_gf(k: int, cap: int) -> Series:
     """Series in p, exact in (q, t): coefficient of p^n q^c t^d counts
     k-compositions of n with comajor index c and d descents."""
-    if k > COMAJ_DES_PERMUTATION_LIMIT:
-        raise TooLarge(f"k = {k} exceeds the S_k enumeration limit "
-                       f"{COMAJ_DES_PERMUTATION_LIMIT}")
+    check_size("comaj_des", "k", k)
     from . import permutations
 
     dist = permutations.statistic_distribution(k, ("maj", "imaj", "ides"), ("p", "q", "t"))
@@ -206,9 +200,7 @@ def joint_gf(k: int, cap: int) -> Series:
     from the matching inverse statistics over S_k behind the k-partition
     size series.
     """
-    if k > JOINT_PERMUTATION_LIMIT:
-        raise TooLarge(f"k = {k} exceeds the S_k enumeration limit "
-                       f"{JOINT_PERMUTATION_LIMIT}")
+    check_size("joint", "k", k)
     from . import permutations
 
     dist = permutations.statistic_distribution(
@@ -220,7 +212,7 @@ def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], in
     """Total inversion counts, read off the k-part series :func:`inv_gf`: n -> inversions
     over all compositions of n (the sum of its k-part totals), and (n, k) -> inversions
     over all k-compositions of n (1 <= k <= n)."""
-    _check_table_cap(cap)
+    check_size("table", "cap", cap)
     by_nk: dict[tuple[int, int], int] = {}
     for k in range(1, cap + 1):
         k_split = inv_gf(k, cap).body.coefficients_in("p")
@@ -228,11 +220,6 @@ def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], in
             by_nk[(n, k)] = _sum_weighted(k_split.get(n, Poly.zero()), "q")
     by_n = {n: sum(by_nk[(n, k)] for k in range(1, n + 1)) for n in range(cap + 1)}
     return by_n, by_nk
-
-
-def _check_table_cap(cap: int) -> None:
-    if cap > TABLE_LIMIT:
-        raise TooLarge(f"cap {cap} exceeds the table limit {TABLE_LIMIT}")
 
 
 def _sum_weighted(poly: Poly, var: str) -> int:
@@ -346,14 +333,14 @@ class DistTable:
 
     @classmethod
     def inversions(cls, cap: int, k: int | None = None) -> DistTable:
-        _check_table_cap(cap)
+        check_size("table", "cap", cap)
         series = inv_gf_total(cap) if k is None else _k_part_series(inv_gf, k, cap, "p")
         kind = "ic_n" if k is None else "ic_nk"
         return cls(kind=kind, cap=cap, k=k, entries=_series_entries(series, "p", "q"))
 
     @classmethod
     def descents(cls, cap: int, k: int | None = None) -> DistTable:
-        _check_table_cap(cap)
+        check_size("table", "cap", cap)
         series = des_gf_total(cap) if k is None else _k_part_series(des_gf, k, cap, "q")
         kind = "dc_n" if k is None else "dc_nk"
         return cls(kind=kind, cap=cap, k=k, entries=_series_entries(series, "q", "t"))
@@ -402,6 +389,8 @@ class DistTable:
 
 def _k_part_series(gf, k: int, cap: int, size_var: str) -> Series:
     """gf(k, cap), or zero when k > cap: every k-composition has size >= k."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     return gf(k, cap) if k <= cap else Series(Poly.zero(), size_var, cap)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types and size limits shared across the library.
 
 Everything that signals a violated precondition derives from ValueError so
 callers who do not care about the fine distinction can catch that.
@@ -59,3 +59,25 @@ class UnknownSequence(CompstatsError):
 
 class NetworkUnavailable(RuntimeError):
     """Remote b-file fetch failed; use a local file instead."""
+
+
+# the largest size each enumeration or closed form accepts, by limit name; the
+# library enforces these through check_size and the CLI bounds read them too
+LIMITS = {
+    "table": 24,          # DistTable, inversion_totals, verify --cap, genfuncid --k
+    "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler
+    "joint": 7,           # joint_gf and verify jointstat, foata, equidist --k
+    "comaj_des": 8,       # comaj_des_gf
+    "permutations": 10,   # all_permutations
+    "compositions": 24,   # compositions_of, compositions.statistic_distribution
+    "tableaux": 12,       # enumerate_standard_tableaux
+    "sweep": 16,          # verify lemma, macmahon --max-n
+}
+
+
+def check_size(limit: str, what: str, value: int) -> None:
+    """Refuse a negative ``value`` (ValueError) or one above ``LIMITS[limit]`` (TooLarge)."""
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    if value > LIMITS[limit]:
+        raise TooLarge(f"{what} {value} exceeds the {limit} limit {LIMITS[limit]}")

@@ -12,14 +12,12 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial
 
-from .errors import EmptyPartition, InexactDivision, TooLarge
+from .errors import EmptyPartition, InexactDivision, check_size
 from .polynomial import Poly, divexact
 from .qanalog import q_int, q_multinomial
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
-
-SYT_ENUMERATION_LIMIT = 12
 
 
 def check_partition(shape: Sequence[int]) -> Partition:
@@ -150,9 +148,7 @@ def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
     """All standard fillings of the shape, entries 1..n increasing along rows and columns."""
     shape = check_partition(shape)
     n = sum(shape)
-    if n > SYT_ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"refusing to enumerate tableaux with {n} > {SYT_ENUMERATION_LIMIT} cells")
+    check_size("tableaux", "shape size", n)
     if not shape:
         return [()]
     results: list[Tableau] = []

@@ -7,12 +7,10 @@ from collections.abc import Iterator, Sequence
 from itertools import permutations as _itertools_permutations
 
 from . import statistics
-from .errors import TooLarge
+from .errors import check_size
 from .polynomial import Poly
 
 Permutation = tuple[int, ...]
-
-ENUMERATION_LIMIT = 10
 
 
 def check_permutation(pi: Sequence[int]) -> Permutation:
@@ -68,10 +66,7 @@ def permutation_stats(pi: Sequence[int]) -> PermutationStats:
 
 def all_permutations(k: int) -> Iterator[Permutation]:
     """All k! permutations in lexicographic one-line order."""
-    if k < 0:
-        raise ValueError(f"permutation size must be nonnegative, got {k}")
-    if k > ENUMERATION_LIMIT:
-        raise TooLarge(f"refusing to enumerate S_{k}; limit is {ENUMERATION_LIMIT}")
+    check_size("permutations", "k", k)
     return _itertools_permutations(range(1, k + 1))
 
 

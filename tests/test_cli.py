@@ -159,6 +159,13 @@ def test_verify_scale_bounds(capsys):
             main(["verify", "--suite", suite, "--k", str(k)])
         assert exc.value.code == 2
         assert f"--k is capped at {limit} for --suite {suite}" in capsys.readouterr().err
+    # a bound the suite does not read is refused, not ignored; --suite all reads them all
+    for suite, flag, value in (("lemma", "--k", 99), ("foata", "--cap", 3),
+                               ("geneuler", "--max-n", 5), ("foata", "--cap", 30)):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, flag, str(value)])
+        assert exc.value.code == 2
+        assert f"--suite {suite} does not read {flag}" in capsys.readouterr().err
 
 
 def test_verify_zero_bounds_are_not_replaced_by_defaults(capsys):
@@ -269,6 +276,41 @@ def test_oeis_check_over_table_limit(capsys):
                            "--max-n", "30")
         assert code == 2
         assert "exceeds the table limit 24" in err
+
+
+def test_oeis_check_negative_max_n_is_usage_error(capsys):
+    for seq, digits in (("A189074", "189074"), ("A189052", "189052")):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-check", "--seq", seq, "--bfile", str(DATA / "oeis" / f"b{digits}.txt"),
+                  "--max-n", "-1"])
+        assert exc.value.code == 2
+        assert "--max-n must be nonnegative" in capsys.readouterr().err
+
+
+def test_limits_have_one_source(capsys, monkeypatch):
+    # lowering a limit in errors.LIMITS moves the CLI bound and the library check together
+    from compstats import errors
+    from compstats.distributions import DistTable, joint_gf
+
+    monkeypatch.setitem(errors.LIMITS, "table", 10)
+    for argv in (["table", "ic", "--max-n", "11"],
+                 ["verify", "--suite", "genfuncid", "--cap", "11"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "capped at 10" in capsys.readouterr().err
+    with pytest.raises(errors.TooLarge, match="exceeds the table limit 10"):
+        DistTable.descents(11)
+    DistTable.descents(10)
+
+    monkeypatch.setitem(errors.LIMITS, "joint", 5)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "foata", "--k", "6"])
+    assert exc.value.code == 2
+    assert "--k is capped at 5 for --suite foata" in capsys.readouterr().err
+    with pytest.raises(errors.TooLarge, match="exceeds the joint limit 5"):
+        joint_gf(6, 8)
+    joint_gf(5, 6)
 
 
 def test_oeis_check_parse_error(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from compstats.compositions import statistic_distribution as composition_distribution
 from compstats.distributions import (
-    TABLE_LIMIT,
     DistTable,
     _q_eulerian_sum,
     comaj_des_gf,
@@ -24,7 +23,7 @@ from compstats.distributions import (
     verify_product_expansion,
     verify_q_eulerian_gf,
 )
-from compstats.errors import CapTooSmall, TooLarge
+from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
 from compstats.partitions import partitions_of
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, p, q, t
@@ -186,7 +185,7 @@ def test_des_gf_against_brute_force():
 
 def test_des_gf_total_matches_rational_form():
     # past the n <= 16 that enumeration reaches
-    assert des_gf_total_rational(TABLE_LIMIT) == des_gf_total(TABLE_LIMIT)
+    assert des_gf_total_rational(LIMITS["table"]) == des_gf_total(LIMITS["table"])
 
 
 def test_des_gf_total_spot_values():
@@ -331,9 +330,29 @@ def test_dist_table_more_parts_than_cap_is_all_zero():
 
 def test_dist_table_too_large():
     with pytest.raises(TooLarge):
-        DistTable.inversions(TABLE_LIMIT + 1)
+        DistTable.inversions(LIMITS["table"] + 1)
     with pytest.raises(TooLarge):
-        DistTable.descents(TABLE_LIMIT + 1, k=2)
+        DistTable.descents(LIMITS["table"] + 1, k=2)
+
+
+def test_negative_sizes_are_refused_at_the_library_boundary():
+    # a negative size is a ValueError naming the argument, not an over-limit TooLarge
+    # and not an error from deep inside the series arithmetic
+    for call, name in ((lambda: DistTable.inversions(5, k=-1), "k"),
+                       (lambda: DistTable.descents(5, k=-1), "k"),
+                       (lambda: DistTable.inversions(-1), "cap"),
+                       (lambda: DistTable.descents(-1, k=2), "cap"),
+                       (lambda: inversion_totals(-1), "cap"),
+                       (lambda: joint_gf(-1, 4), "k"),
+                       (lambda: comaj_des_gf(-1, 4), "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$") as exc:
+            call()
+        assert not isinstance(exc.value, TooLarge)
+    check_size("table", "cap", 0)
+    check_size("table", "cap", LIMITS["table"])
+    over = LIMITS["table"] + 1
+    with pytest.raises(TooLarge, match=f"cap {over} exceeds the table limit {over - 1}"):
+        check_size("table", "cap", over)
 
 
 def test_dist_table_is_an_immutable_value():

@@ -181,6 +181,22 @@ def test_series_mul_equals_truncated_poly_mul(a, b, cap):
     assert product == (a * b).truncate({"p": cap})
 
 
+@given(small_polys(VARIABLES), small_polys(VARIABLES), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from(VARIABLES), st.sampled_from(VARIABLES))
+def test_series_truncation_laws(a, b, cap_a, cap_b, var, other_var):
+    x, y = Series(a, var, cap_a), Series(b, var, cap_b)
+    cut = {var: min(cap_a, cap_b)}
+    # a product cut at c needs each factor only up to c
+    assert (x * y).body == (a.truncate(cut) * b.truncate(cut)).truncate(cut)
+    assert (x + y).body == (a + b).truncate(cut)
+    assert (x * y).cap == (x + y).cap == min(cap_a, cap_b)
+    if other_var != var:
+        with pytest.raises(CapVarMismatch):
+            x * Series(b, other_var, cap_b)
+        with pytest.raises(CapVarMismatch):
+            x + Series(b, other_var, cap_b)
+
+
 def test_geometric_series_examples():
     assert geometric_series({"p": 1}, "p", 3).body == 1 + p + p ** 2 + p ** 3
     assert geometric_series({"p": 2}, "p", 3).body == 1 + p ** 2

@@ -122,7 +122,7 @@ def _first_poly_difference(a: Poly, b: Poly) -> str:
 
 
 def _check_prod(max_t: int, cap: int) -> tuple[bool, str]:
-    if not distributions.verify_product_expansion(max_t, cap, cap):
+    if not distributions.verify_product_expansion(max_t, cap):
         return False, f"product expansion differs within t-degrees 0..{max_t} (caps {cap},{cap})"
     return True, f"t-degrees 0..{max_t}, caps ({cap},{cap})"
 

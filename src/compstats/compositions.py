@@ -91,6 +91,14 @@ def sorting_permutation(sigma: Sequence[int]) -> Permutation:
     return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: (-sigma[i - 1], i)))
 
 
+def _descent_shifts(pi: Permutation) -> list[int]:
+    """For every position j of pi, the number of descents of pi at positions >= j."""
+    shifts = [0] * len(pi)
+    for i in range(len(pi) - 2, -1, -1):
+        shifts[i] = shifts[i + 1] + (pi[i] > pi[i + 1])
+    return shifts
+
+
 def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, Partition]:
     """Map a composition to its (sorting permutation, partition) pair.
 
@@ -102,12 +110,7 @@ def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, Partition]:
     if not sigma:
         raise EmptyComposition("the empty composition is not in the bijection's domain")
     pi = sorting_permutation(sigma)
-    mu = [sigma[i - 1] for i in pi]
-    descents = statistics.descent_set(pi)
-    lam = tuple(
-        part - sum(1 for d in descents if d >= j)
-        for j, part in enumerate(mu, start=1)
-    )
+    lam = tuple(sigma[i - 1] - shift for i, shift in zip(pi, _descent_shifts(pi)))
     return pi, check_partition(lam)
 
 
@@ -122,11 +125,7 @@ def macmahon_inverse(pi: Sequence[int], lam: Sequence[int]) -> Composition:
     if len(pi) != len(lam):
         raise LengthMismatch(
             f"permutation size {len(pi)} != partition length {len(lam)}")
-    descents = statistics.descent_set(pi)
-    mu = [
-        part + sum(1 for d in descents if d >= j)
-        for j, part in enumerate(lam, start=1)
-    ]
+    mu = [part + shift for part, shift in zip(lam, _descent_shifts(pi))]
     inverse = inverse_permutation(pi)
     sigma = tuple(mu[inverse[i] - 1] for i in range(len(pi)))
     if any(part < 1 for part in sigma):

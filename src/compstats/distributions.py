@@ -26,6 +26,7 @@ from .qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
 # Closed forms over permutations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _hook_sum(k: int, max_p: int) -> Poly:
     """The hook sum of :func:`maj_inv_poly` with every f(p) cut at p^max_p.
 
@@ -41,7 +42,6 @@ def _hook_sum(k: int, max_p: int) -> Poly:
     return total
 
 
-@lru_cache(maxsize=None)
 def maj_inv_poly(k: int) -> Poly:
     """Joint (maj, inv) distribution over S_k, in (p, q), as a hook-length partition sum.
 
@@ -106,9 +106,11 @@ def _leading_over_pochhammer(k: int, var: str, cap: int) -> Series:
     return pochhammer_inverse_series(k, var, cap) * Poly.variable(var, k)
 
 
+# inv_gf and des_gf cut their kernel at min(cap - k, C(k, 2)): both kernels have
+# degree C(k, 2) in the cut variable, so a larger cut would only add cache keys
 def inv_gf(k: int, cap: int) -> Series:
     """Series in p, exact in q: coefficient of p^n q^r counts k-compositions of n with r inversions."""
-    return _leading_over_pochhammer(k, "p", cap) * _hook_sum(k, cap - k)
+    return _leading_over_pochhammer(k, "p", cap) * _hook_sum(k, min(cap - k, comb(k, 2)))
 
 
 def inv_gf_recurrence(k: int, cap: int) -> Series:
@@ -135,7 +137,6 @@ def inv_gf_total(cap: int) -> Series:
 
 def des_gf(k: int, cap: int) -> Series:
     """Series in q, exact in t: coefficient of q^n t^r counts k-compositions of n with r descents."""
-    # A_k has q-degree C(k, 2); a larger cut would only add cache entries
     return _leading_over_pochhammer(k, "q", cap) * _q_eulerian_sum(k, min(cap - k, comb(k, 2)))
 
 
@@ -213,49 +214,43 @@ def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], in
     over all compositions of n (the sum of its k-part totals), and (n, k) -> inversions
     over all k-compositions of n (1 <= k <= n)."""
     check_size("table", "cap", cap)
-    by_nk: dict[tuple[int, int], int] = {}
+    by_nk = {(n, k): 0 for k in range(1, cap + 1) for n in range(k, cap + 1)}
     for k in range(1, cap + 1):
-        k_split = inv_gf(k, cap).body.coefficients_in("p")
-        for n in range(k, cap + 1):
-            by_nk[(n, k)] = _sum_weighted(k_split.get(n, Poly.zero()), "q")
+        for (n, r), count in _series_entries(inv_gf(k, cap), "p", "q").items():
+            by_nk[(n, k)] += r * count
     by_n = {n: sum(by_nk[(n, k)] for k in range(1, n + 1)) for n in range(cap + 1)}
     return by_n, by_nk
-
-
-def _sum_weighted(poly: Poly, var: str) -> int:
-    return sum(exponent * sub_poly.coeff()
-               for exponent, sub_poly in poly.coefficients_in(var).items())
 
 
 # ---------------------------------------------------------------------------
 # Identity verifications
 # ---------------------------------------------------------------------------
 
-def verify_product_expansion(max_t: int, cap_p: int, cap_q: int) -> bool:
+def verify_product_expansion(max_t: int, cap: int) -> bool:
     """Check the two-alphabet product expansion against the hook-sum closed form.
 
-    Expands prod over 0 <= a <= cap_p, 0 <= b <= cap_q of 1/(1 - p^a q^b t)
-    as a series truncated at (t^max_t, p^cap_p, q^cap_q) and compares the
-    coefficient of t^k with the hook-sum polynomial divided by both
-    Pochhammer products, for every k <= max_t.  The (a, b) = (0, 0) factor
-    contributes the geometric series in t alone.
+    Expands prod over 0 <= a, b <= cap of 1/(1 - p^a q^b t) as a series
+    truncated at (t^max_t, p^cap, q^cap) and compares the coefficient of t^k
+    with the hook-sum polynomial divided by both Pochhammer products, for
+    every k <= max_t.  The (a, b) = (0, 0) factor contributes the geometric
+    series in t alone.
     """
-    caps = {"p": cap_p, "q": cap_q, "t": max_t}
+    caps = {"p": cap, "q": cap, "t": max_t}
     product = Poly.one()
-    for a in range(cap_p + 1):
-        for b in range(cap_q + 1):
+    for a in range(cap + 1):
+        for b in range(cap + 1):
             factor_terms = {}
             j = 0
-            while j <= max_t and a * j <= cap_p and b * j <= cap_q:
+            while j <= max_t and a * j <= cap and b * j <= cap:
                 factor_terms[(a * j, b * j, j, 0, 0)] = 1
                 j += 1
             product = (product * Poly(factor_terms)).truncate(caps)
     by_t = product.coefficients_in("t")
     for k in range(max_t + 1):
         closed = (maj_inv_poly(k)
-                  * pochhammer_inverse_series(k, "p", cap_p).body
-                  * pochhammer_inverse_series(k, "q", cap_q).body)
-        if by_t.get(k, Poly.zero()) != closed.truncate({"p": cap_p, "q": cap_q}):
+                  * pochhammer_inverse_series(k, "p", cap).body
+                  * pochhammer_inverse_series(k, "q", cap).body)
+        if by_t.get(k, Poly.zero()) != closed.truncate({"p": cap, "q": cap}):
             return False
     return True
 

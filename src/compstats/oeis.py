@@ -24,6 +24,7 @@ OEIS_BFILE_URL = "https://oeis.org/{seq}/b{digits}.txt"
 #   ic_triangle   rows n >= 1, entries ic_r(n) for r = 0..last nonzero r
 #   dc_triangle   rows n >= 1, entries dc_r(n) for r = 0..last nonzero r
 # offset: b-file index of the first produced term
+QUANTITIES = ("ic_total", "ic_total_by_k", "ic_triangle", "dc_triangle")
 SEQUENCES: dict[str, dict] = {
     "A189052": {"quantity": "ic_total", "n_start": 1, "offset": 1},
     "A189073": {"quantity": "ic_total_by_k", "n_start": 1, "offset": 1},
@@ -91,12 +92,22 @@ def load_metadata(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> dict:
-    """The sequence's mapping: ``metadata`` overrides the :data:`SEQUENCES` defaults."""
-    table = {**SEQUENCES, **(metadata or {})}
-    if sequence_id not in table:
+def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> Mapping:
+    """The sequence's mapping: ``metadata`` overrides the :data:`SEQUENCES` defaults.
+
+    Raises UnknownSequence unless ``metadata`` maps sequence ids to mappings
+    and the sequence's mapping names a quantity of :data:`QUANTITIES`.
+    """
+    if metadata is not None and not isinstance(metadata, Mapping):
+        raise UnknownSequence(f"no mapping for sequence {sequence_id!r}: the metadata is "
+                              f"a {type(metadata).__name__}, not a mapping of sequence ids")
+    meta = {**SEQUENCES, **(metadata or {})}.get(sequence_id)
+    if meta is None:
         raise UnknownSequence(f"no mapping for sequence {sequence_id!r}")
-    return table[sequence_id]
+    if not isinstance(meta, Mapping) or meta.get("quantity") not in QUANTITIES:
+        raise UnknownSequence(f"the metadata of sequence {sequence_id!r} names no quantity "
+                              f"out of {', '.join(QUANTITIES)}")
+    return meta
 
 
 def sequence_terms(sequence_id: str, max_n: int,
@@ -118,12 +129,10 @@ def sequence_terms(sequence_id: str, max_n: int,
         dist = DistTable.inversions(max_n)
         for n in range(n_start, max_n + 1):
             terms.extend(dist.row(n))
-    elif quantity == "dc_triangle":
+    else:  # dc_triangle
         dist = DistTable.descents(max_n)
         for n in range(n_start, max_n + 1):
             terms.extend(dist.row(n))
-    else:
-        raise UnknownSequence(f"unknown quantity {quantity!r} for {sequence_id}")
     return terms
 
 

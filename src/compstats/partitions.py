@@ -78,14 +78,6 @@ def b_statistic(shape: Sequence[int]) -> int:
     return sum(i * part for i, part in enumerate(check_partition(shape)))
 
 
-def multiplicities(shape: Sequence[int]) -> dict[int, int]:
-    """Map part value -> number of occurrences."""
-    counts: dict[int, int] = {}
-    for part in shape:
-        counts[part] = counts.get(part, 0) + 1
-    return counts
-
-
 def syt_count(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given shape (hook-length formula)."""
     shape = check_partition(shape)
@@ -139,7 +131,7 @@ def q_eulerian_weight(shape: Sequence[int], max_q: int | None = None) -> Poly:
     if not shape:
         raise EmptyPartition("weight of the empty partition is not defined")
     arrangements = factorial(len(shape))
-    for mult in multiplicities(shape).values():
+    for mult in Counter(shape).values():
         arrangements //= factorial(mult)
     return arrangements * q_multinomial(shape, max_q)
 

@@ -201,8 +201,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- substitution and reshaping -------------------------------------------

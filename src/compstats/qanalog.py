@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import OutOfRange
-from .polynomial import Poly, Series, geometric_series
+from .polynomial import Poly, Series, monomial_key
 
 
 def q_int(n: int) -> Poly:
@@ -74,11 +74,13 @@ def q_multinomial(parts: tuple[int, ...], max_q: int | None = None) -> Poly:
 
 
 def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:
-    """1/(x)_n = prod_{i=1..n} 1/(1 - x^i) as a series in ``var`` truncated at ``cap``."""
-    result = Series.one(var, cap)
-    for i in range(1, n + 1):
-        result = result * geometric_series({var: i}, var, cap)
-    return result
+    """1/(x)_n as a series in ``var`` truncated at ``cap``: the coefficient of
+    x^m counts the partitions of m into parts at most n."""
+    counts = [1] + [0] * cap
+    for part in range(1, n + 1):
+        for m in range(part, cap + 1):
+            counts[m] += counts[m - part]
+    return Series(Poly({monomial_key({var: m}): c for m, c in enumerate(counts)}), var, cap)
 
 
 def check_q_exponential_inverse(max_order: int) -> bool:

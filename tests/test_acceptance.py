@@ -250,7 +250,7 @@ def test_criterion_6_permutation_identities():
 
 
 def test_criterion_7_identity_verifications():
-    product_ok = verify_product_expansion(4, 8, 8)
+    product_ok = verify_product_expansion(4, 8)
     eulerian_ok = verify_q_eulerian_gf(6)
     counting_ok = all(verify_composition_count_identity(k, 12) for k in range(6))
     qexp_ok = check_q_exponential_inverse(8)

@@ -218,7 +218,7 @@ def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     assert "k=2" in out
 
     monkeypatch.setattr(distributions, "verify_product_expansion",
-                        lambda max_t, cap_p, cap_q: False)
+                        lambda max_t, cap: False)
     code, out, _ = run(capsys, "verify", "--suite", "prod", "--k", "2", "--cap", "6")
     assert code == 1
     assert out.startswith("FAIL prod")
@@ -258,6 +258,18 @@ def test_oeis_check_unknown_sequence(tmp_path, capsys):
                        "--bfile", str(some), "--max-n", "5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("sidecar", ['{"A189074": {"n_start": 1}}', "[1, 2]"])
+def test_oeis_check_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar):
+    bfile = tmp_path / "b189074.txt"
+    bfile.write_text((DATA / "oeis" / "b189074.txt").read_text())
+    (tmp_path / "metadata.json").write_text(sidecar)
+    code, out, err = run(capsys, "oeis-check", "--seq", "A189074",
+                         "--bfile", str(bfile), "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "A189074" in err
 
 
 def test_oeis_check_comparing_nothing_is_an_error(capsys):

@@ -1,4 +1,5 @@
 from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +139,16 @@ def test_macmahon_round_trip_and_weight_split(sigma):
     pi, lam = macmahon_forward(sigma)
     assert sum(lam) + permutation_stats(pi).maj == sum(sigma)
     assert macmahon_inverse(pi, lam) == sigma
+
+
+def test_macmahon_is_fast_on_many_parts():
+    # 1..k sorts to the reversal, a descent at every position but the last
+    sigma = tuple(range(1, 20001))
+    start = perf_counter()
+    pi, lam = macmahon_forward(sigma)
+    assert sum(lam) + statistics.major_index(pi) == sum(sigma)
+    assert macmahon_inverse(pi, lam) == sigma
+    assert perf_counter() - start < 5
 
 
 def test_macmahon_inverse_then_forward():

@@ -6,6 +6,7 @@ import pytest
 from compstats.compositions import statistic_distribution as composition_distribution
 from compstats.distributions import (
     DistTable,
+    _hook_sum,
     _q_eulerian_sum,
     comaj_des_gf,
     des_gf,
@@ -266,8 +267,24 @@ def test_inversion_totals_too_large():
 
 
 def test_verify_product_expansion():
-    assert verify_product_expansion(0, 4, 4)
-    assert verify_product_expansion(2, 6, 6)
+    assert verify_product_expansion(0, 4)
+    assert verify_product_expansion(2, 6)
+
+
+def test_hook_sum_has_one_cache():
+    # a repeated table, totals or hk call adds no _hook_sum miss
+    for call in (lambda: DistTable.inversions(9), lambda: DistTable.inversions(9, k=4),
+                 lambda: inversion_totals(9), lambda: maj_inv_poly(5)):
+        call()
+        misses = _hook_sum.cache_info().misses
+        call()
+        assert _hook_sum.cache_info().misses == misses
+    # a kernel cut at C(k, 2) is the one maj_inv_poly(k) reads
+    DistTable.inversions(10)
+    misses = _hook_sum.cache_info().misses
+    for k in range(1, 5):
+        maj_inv_poly(k)
+    assert _hook_sum.cache_info().misses == misses
 
 
 def test_verify_q_eulerian_gf():

@@ -107,6 +107,18 @@ def test_check_sequence_respects_metadata_offset():
     assert not report.agree
 
 
+@pytest.mark.parametrize("metadata", [
+    {"A189074": {"n_start": 1}},
+    {"A189074": {"quantity": "ic_totals"}},
+    {"A189074": [1, 2]},
+    [1, 2],
+])
+def test_malformed_metadata_is_unknown_sequence(metadata):
+    bfile = load_bfile(FIXTURES / "b189074.txt")
+    with pytest.raises(UnknownSequence, match="A189074"):
+        check_sequence("A189074", bfile, 5, metadata)
+
+
 def test_metadata_file_matches_defaults():
     metadata = load_metadata(FIXTURES / "metadata.json")
     for seq in ("A189052", "A189073", "A189074", "A238343", "A238344"):

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -69,6 +70,24 @@ def test_pow_matches_repeated_multiplication():
     for exponent in range(6):
         assert base ** exponent == power
         power = power * base
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # one multiply per set bit and one squaring per further bit
+    base = 1 + q
+    calls = []
+    multiply = Poly.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for e in range(10):
+        calls.clear()
+        power = base ** e
+        assert len(calls) == (bin(e).count("1") + e.bit_length() - 1 if e else 0)
+        assert power == Poly({(0, i, 0, 0, 0): comb(e, i) for i in range(e + 1)})
 
 
 def test_coeff_lookup():

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from compstats.errors import OutOfRange
-from compstats.polynomial import Poly, Series, q
+from compstats.polynomial import Poly, Series, geometric_series, q
 from compstats.qanalog import (
     check_q_exponential_inverse,
     gaussian_binomial,
@@ -138,6 +138,17 @@ def test_pochhammer_inverse_series():
     assert series.coeff(q=4) == 4   # 3+1, 2+2, 2+1+1, 1+1+1+1
     product = series * Series(q_pochhammer(3), "q", 8)
     assert product == Series.one("q", 8)
+
+
+def test_pochhammer_inverse_series_equals_the_geometric_product():
+    # the reference multiplies one truncated 1/(1 - x^i) per factor
+    for var in ("p", "q"):
+        for cap in range(17):
+            reference = Series.one(var, cap)
+            for n in range(11):
+                if n:
+                    reference = reference * geometric_series({var: n}, var, cap)
+                assert pochhammer_inverse_series(n, var, cap) == reference
 
 
 def test_q_exponential_inverse_check():

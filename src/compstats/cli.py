@@ -15,14 +15,7 @@ import sys
 # each subcommand imports the rest of what it runs, so a table never loads
 # the enumeration or OEIS modules
 from . import distributions
-from .errors import (
-    LIMITS,
-    BFileParseError,
-    CompstatsError,
-    InexactDivision,
-    NetworkUnavailable,
-    UnknownSequence,
-)
+from .errors import LIMITS, CompstatsError, InexactDivision, NetworkUnavailable
 from .polynomial import Poly, monomial_exponents
 
 EXIT_OK = 0
@@ -396,8 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except InexactDivision as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (BFileParseError, UnknownSequence, NetworkUnavailable,
-            CompstatsError, ValueError, OSError) as exc:
+    except (NetworkUnavailable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from math import comb
 from operator import mul
 
-from .errors import CapTooSmall, DenominatorNotUnit, check_size
+from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
 from .partitions import b_statistic, hook_quotient, partitions_of
 from .polynomial import SLOT_BITS, Poly, Series, divexact, geometric_series, monomial_key, pack, unpack
 from .qanalog import gaussian_binomial, partition_counts, pochhammer_inverse_series, q_factorial
@@ -57,6 +57,7 @@ def maj_inv_poly(k: int) -> Poly:
 @lru_cache(maxsize=None)
 def maj_inv_poly_carlitz(k: int) -> Poly:
     """The same polynomial as :func:`maj_inv_poly`, via the Carlitz recurrence."""
+    check_nonnegative("k", k)
     if k == 0:
         return Poly.one()
     total = Poly.zero()
@@ -125,8 +126,8 @@ def _packed_rows(kernel, cap: int, k: int | None = None):
     counting partitions into parts at most j.  K_j is cut at min(cap - j, C(j, 2)); C(j, 2) is its
     degree, so a larger cut would only add cache keys.  Counts stay below 2^(cap-1) < 2^SLOT_BITS."""
     check_size("table", "cap", cap)
-    if k is not None and k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if k is not None:
+        check_nonnegative("k", k)
     for j, counts in zip(range(cap + 1 if k is None else min(k, cap) + 1), partition_counts(cap)):
         if k in (None, j):
             kern = kernel(j, min(cap - j, comb(j, 2)))
@@ -154,6 +155,7 @@ def inv_gf(k: int, cap: int) -> Series:
 
 def inv_gf_recurrence(k: int, cap: int) -> Series:
     """Same series as :func:`inv_gf`, computed by the Gaussian-binomial recurrence."""
+    check_nonnegative("k", k)
     _check_leading(k, cap)
     memo: list[Series] = [Series.one("p", cap)]
     for m in range(1, k + 1):
@@ -202,8 +204,8 @@ def des_gf_total_rational(cap: int) -> Series:
         denominator = denominator + term
         j += 1
     by_q = denominator.body.coefficients_in("q")
-    one_minus_t = 1 - t_var
-    if by_q.get(0, Poly.zero()) != one_minus_t:
+    d_0 = 1 - t_var
+    if by_q.get(0, Poly.zero()) != d_0:
         raise DenominatorNotUnit(
             f"constant q-coefficient of the denominator is {by_q.get(0, Poly.zero())}, "
             "expected 1 - t")
@@ -214,7 +216,7 @@ def des_gf_total_rational(cap: int) -> Series:
             d_m = by_q.get(m)
             if d_m is not None:
                 rhs = rhs - d_m * coefficients[n - m]
-        coefficients.append(divexact(rhs, one_minus_t, "t"))
+        coefficients.append(divexact(rhs, d_0, "t"))
     return Series(sum((Poly.variable("q", n) * c for n, c in enumerate(coefficients)), Poly.zero()),
                   "q", cap)
 
@@ -275,7 +277,7 @@ def verify_product_expansion(max_t: int, cap: int) -> bool:
             factor_terms = {}
             j = 0
             while j <= max_t and a * j <= cap and b * j <= cap:
-                factor_terms[(a * j, b * j, j, 0, 0)] = 1
+                factor_terms[monomial_key({"p": a * j, "q": b * j, "t": j})] = 1
                 j += 1
             product = (product * Poly(factor_terms)).truncate(caps)
     by_t = product.coefficients_in("t")
@@ -317,6 +319,7 @@ def verify_composition_count_identity(k: int, cap: int) -> bool:
     The left side generates k-composition counts by size; the right side is
     the maj distribution over S_k times the k-partition size series.
     """
+    check_nonnegative("k", k)
     lhs = Series.one("q", cap)
     for _ in range(k):
         lhs = lhs * geometric_series({"q": 1}, "q", cap)

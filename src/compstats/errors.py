@@ -75,9 +75,14 @@ LIMITS = {
 }
 
 
-def check_size(limit: str, what: str, value: int) -> None:
-    """Refuse a negative ``value`` (ValueError) or one above ``LIMITS[limit]`` (TooLarge)."""
+def check_nonnegative(what: str, value: int) -> None:
+    """Refuse a negative ``value`` with a ValueError naming it as ``what``."""
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
+
+
+def check_size(limit: str, what: str, value: int) -> None:
+    """Refuse a negative ``value`` (ValueError) or one above ``LIMITS[limit]`` (TooLarge)."""
+    check_nonnegative(what, value)
     if value > LIMITS[limit]:
         raise TooLarge(f"{what} {value} exceeds the {limit} limit {LIMITS[limit]}")

@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import EmptyPartition, InexactDivision, check_size
 from .polynomial import Poly, from_coefficients
-from .qanalog import over_one_minus, q_multinomial, times_one_minus
+from .qanalog import q_multinomial, q_quotient
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -95,24 +95,15 @@ def syt_count(shape: Sequence[int]) -> int:
 
 
 def hook_quotient(shape: Sequence[int]) -> list[int]:
-    """The coefficients of syt_count_q / q^b: [n]_q! / prod [h(u)]_q with the hooks cancelled
-    against {1..n} first, as one (1 - q^v) pass per factor on a power series as long as the
-    numerator; its tail past the quotient's degree must vanish."""
+    """The coefficients of syt_count_q / q^b: [n]_q! / prod [h(u)]_q = (q)_n / prod (1 - q^h(u))."""
     shape = check_partition(shape)
     if not shape:
         raise EmptyPartition("the empty shape has no tableaux")
-    n = sum(shape)
-    surplus = Counter(range(1, n + 1))
-    surplus.subtract(h for row in hook_lengths(shape) for h in row)
-    numerator = sum(value * count for value, count in surplus.items() if count > 0)
-    degree = numerator + sum(value * count for value, count in surplus.items() if count < 0)
-    coefficients = [1] + [0] * numerator
-    for value, count in surplus.items():
-        for _ in range(abs(count)):
-            (times_one_minus if count > 0 else over_one_minus)(coefficients, value)
-    if degree < 0 or any(coefficients[degree + 1:]):
-        raise InexactDivision(f"the hook product of {shape} does not divide [{n}]_q!")
-    return coefficients[:degree + 1]
+    n, hooks = sum(shape), [h for row in hook_lengths(shape) for h in row]
+    try:
+        return q_quotient(range(1, n + 1), hooks)
+    except InexactDivision:
+        raise InexactDivision(f"the hook product of {shape} does not divide [{n}]_q!") from None
 
 
 def syt_count_q(shape: Sequence[int], var: str = "q") -> Poly:
@@ -120,12 +111,11 @@ def syt_count_q(shape: Sequence[int], var: str = "q") -> Poly:
     return from_coefficients([0] * b_statistic(shape) + hook_quotient(shape), var)
 
 
-def q_eulerian_weight(shape: Sequence[int], max_q: int | None = None) -> Poly:
+def q_eulerian_weight(shape: Sequence[int]) -> Poly:
     """l! [n]_q! / prod_i (m_i! ([i]_q!)^m_i) over the part multiplicities m_i.
 
     This is the weight a partition carries in the partition-indexed formula
-    for the joint (inv, des) distribution over permutations; with ``max_q``
-    it is cut at q^max_q.
+    for the joint (inv, des) distribution over permutations.
     """
     shape = check_partition(shape)
     if not shape:
@@ -133,7 +123,7 @@ def q_eulerian_weight(shape: Sequence[int], max_q: int | None = None) -> Poly:
     arrangements = factorial(len(shape))
     for mult in Counter(shape).values():
         arrangements //= factorial(mult)
-    return arrangements * q_multinomial(shape, max_q)
+    return arrangements * q_multinomial(shape)
 
 
 def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:

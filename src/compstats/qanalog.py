@@ -1,17 +1,18 @@
 """q-analog building blocks: [n]_q, [n]_q!, (q)_n, Gaussian binomials and q-multinomials.
 
-The polynomials are in the variable q (Poly.rename moves them); the (1 - q^v) passes
-and the partition counts work on dense coefficient lists instead.
+The polynomials are in the variable q (Poly.rename moves them).  [n]_q!, (q)_n, the q-multinomials
+and the hook quotients are all q_quotient, which like the partition counts works on dense lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
 
-from .errors import OutOfRange
+from .errors import InexactDivision, OutOfRange, check_nonnegative
 from .polynomial import Poly, Series, from_coefficients
 
 
@@ -19,27 +20,21 @@ def q_int(n: int) -> Poly:
     """[n]_q = 1 + q + ... + q^(n-1); the zero polynomial for n = 0."""
     if n < 0:
         raise OutOfRange(f"q_int requires n >= 0, got {n}")
-    return Poly({(0, e, 0, 0, 0): 1 for e in range(n)})
+    return from_coefficients([1] * n, "q")
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n: int) -> Poly:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
+    """[n]_q! = [n]_q [n-1]_q ... [1]_q = (q)_n / (1 - q)^n, with [0]_q! = 1."""
     if n < 0:
         raise OutOfRange(f"q_factorial requires n >= 0, got {n}")
-    if n == 0:
-        return Poly.one()
-    return q_factorial(n - 1) * q_int(n)
+    return from_coefficients(q_quotient(range(1, n + 1), [1] * n), "q")
 
 
-@lru_cache(maxsize=None)
 def q_pochhammer(n: int) -> Poly:
     """(q)_n = (1-q)(1-q^2)...(1-q^n), with (q)_0 = 1."""
     if n < 0:
         raise OutOfRange(f"q_pochhammer requires n >= 0, got {n}")
-    if n == 0:
-        return Poly.one()
-    return q_pochhammer(n - 1) * (1 - Poly.variable("q", n))
+    return from_coefficients(q_quotient(range(1, n + 1), ()), "q")
 
 
 @lru_cache(maxsize=None)
@@ -57,32 +52,46 @@ def gaussian_binomial(n: int, k: int) -> Poly:
     return _gauss(n, k)
 
 
-def times_one_minus(coefficients: list[int], v: int) -> None:
+def _times_one_minus(coefficients: list[int], v: int) -> None:
     """Multiply the power series ``coefficients`` in place by (1 - q^v), keeping its length."""
     coefficients[v:] = [c - d for c, d in zip(coefficients[v:], coefficients)]
 
 
-def over_one_minus(coefficients: list[int], v: int) -> None:
+def _over_one_minus(coefficients: list[int], v: int) -> None:
     """Divide the power series ``coefficients`` in place by (1 - q^v), keeping its length."""
     for j in range(v, len(coefficients)):
         coefficients[j] += coefficients[j - v]
 
 
+def q_quotient(up: Iterable[int], down: Iterable[int], max_q: int | None = None) -> list[int]:
+    """The coefficients of prod_{a in up} (1 - q^a) / prod_{b in down} (1 - q^b), all a, b > 0:
+    common factors cancelled, then one (1 - q^v) pass per factor left on a power series.  Cut at
+    q^max_q if given; else the quotient must be a polynomial, or InexactDivision."""
+    surplus = Counter(up)
+    surplus.subtract(down)
+    numerator = sum(v * c for v, c in surplus.items() if c > 0)
+    degree = numerator + sum(v * c for v, c in surplus.items() if c < 0)
+    coefficients = [1] + [0] * (numerator if max_q is None else max_q)
+    for v, c in surplus.items():
+        for _ in range(abs(c)):
+            (_times_one_minus if c > 0 else _over_one_minus)(coefficients, v)
+    if max_q is not None:
+        return coefficients
+    if degree < 0 or any(coefficients[degree + 1:]):
+        raise InexactDivision(f"prod (1 - q^b) over b in {sorted((-surplus).elements())} does "
+                              f"not divide prod (1 - q^a) over a in {sorted(surplus.elements())}")
+    return coefficients[:degree + 1]
+
+
 def q_multinomial(parts: tuple[int, ...], max_q: int | None = None) -> Poly:
     """q-analog of the multinomial coefficient (sum parts; parts), cut at q^max_q if given:
-    [n]_q! / prod [m]_q! over the parts m, the largest part's factors cancelled, as one
-    (1 - q^v) pass per factor, skipping every v > max_q, which cannot reach the cut."""
+    [n]_q! / prod [m]_q! over the parts m, that is (q)_n / prod (q)_m."""
+    check_nonnegative("part", min(parts, default=0))
     n = sum(parts)
-    degree = (n * n - sum(m * m for m in parts)) // 2
-    length = (degree if max_q is None else min(max_q, degree)) + 1
-    coefficients = [int(e == 0) for e in range(length)]
-    *rest, top = sorted(parts) or [0]
-    for v in range(top + 1, min(n, length - 1) + 1):
-        times_one_minus(coefficients, v)
-    for m in rest:
-        for v in range(1, min(m, length - 1) + 1):
-            over_one_minus(coefficients, v)
-    return from_coefficients(coefficients, "q")
+    if max_q is not None:
+        check_nonnegative("max_q", max_q)
+    down = [v for m in parts for v in range(1, m + 1)]
+    return from_coefficients(q_quotient(range(1, n + 1), down, max_q), "q")
 
 
 def partition_counts(cap: int) -> Iterator[list[int]]:
@@ -91,12 +100,13 @@ def partition_counts(cap: int) -> Iterator[list[int]]:
     counts = [1] + [0] * cap
     for part in count(1):
         yield counts
-        over_one_minus(counts, part)
+        _over_one_minus(counts, part)
 
 
 def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:
     """1/(x)_n as a series in ``var`` truncated at ``cap``: the coefficient of
     x^m counts the partitions of m into parts at most n."""
+    check_nonnegative("n", n)
     counts = next(islice(partition_counts(cap), n, None))
     return Series(from_coefficients(counts, var), var, cap)
 

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from compstats import partitions, qanalog
 from compstats.compositions import statistic_distribution as composition_distribution
 from compstats.distributions import (
     DistTable,
@@ -29,7 +30,7 @@ from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
 from compstats.partitions import partitions_of, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, p, q, t
-from compstats.qanalog import q_factorial
+from compstats.qanalog import _gauss, gaussian_binomial, pochhammer_inverse_series, q_factorial
 
 # the displayed small polynomials, frozen term for term
 H2 = 1 + p * q
@@ -188,6 +189,24 @@ def test_inv_gf_total_matches_recurrence_past_enumeration():
     for k in range(1, cap + 1):
         acc = acc + inv_gf_recurrence(k, cap)
     assert inv_gf_total(cap) == acc
+
+
+def test_cross_checks_never_reach_the_q_quotient(monkeypatch):
+    # the routes the hook and q-multinomial closed forms are checked against must not
+    # share their one routine: break it, and the cross-checks still give the same values
+    before = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
+              inv_gf_recurrence(4, 10), maj_inv_poly_carlitz(6))
+
+    def broken(*args):
+        raise AssertionError("a cross-check called q_quotient")
+
+    monkeypatch.setattr(qanalog, "q_quotient", broken)
+    monkeypatch.setattr(partitions, "q_quotient", broken)
+    _gauss.cache_clear()
+    maj_inv_poly_carlitz.cache_clear()
+    after = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
+             inv_gf_recurrence(4, 10), maj_inv_poly_carlitz(6))
+    assert after == before
 
 
 def test_des_gf_small():
@@ -408,7 +427,11 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
                        (lambda: DistTable.descents(-1, k=2), "cap"),
                        (lambda: inversion_totals(-1), "cap"),
                        (lambda: joint_gf(-1, 4), "k"),
-                       (lambda: comaj_des_gf(-1, 4), "k")):
+                       (lambda: comaj_des_gf(-1, 4), "k"),
+                       (lambda: inv_gf_recurrence(-1, 5), "k"),
+                       (lambda: maj_inv_poly_carlitz(-1), "k"),
+                       (lambda: verify_composition_count_identity(-1, 5), "k"),
+                       (lambda: pochhammer_inverse_series(-1, "q", 5), "n")):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$") as exc:
             call()
         assert not isinstance(exc.value, TooLarge)

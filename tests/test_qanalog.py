@@ -3,7 +3,8 @@ from math import comb, factorial
 
 import pytest
 
-from compstats.errors import OutOfRange
+from compstats.errors import InexactDivision, OutOfRange
+from compstats.partitions import hook_lengths
 from compstats.polynomial import Poly, Series, geometric_series, q
 from compstats.qanalog import (
     check_q_exponential_inverse,
@@ -13,6 +14,7 @@ from compstats.qanalog import (
     q_int,
     q_multinomial,
     q_pochhammer,
+    q_quotient,
 )
 from compstats.statistics import inversions, major_index
 
@@ -102,6 +104,28 @@ def test_q_multinomial_cut_is_exact_truncation(parts):
     exact = q_multinomial(parts)
     for max_q in range(exact.degree("q") + 2):
         assert q_multinomial(parts, max_q) == exact.truncate({"q": max_q})
+    # the same for the hook quotient of the shape with these parts
+    shape = tuple(sorted(parts, reverse=True))
+    if shape:
+        up, down = range(1, sum(shape) + 1), [h for row in hook_lengths(shape) for h in row]
+        exact = q_quotient(up, down)
+        for max_q in range(len(exact) + 1):
+            assert q_quotient(up, down, max_q) == (exact + [0] * max_q)[:max_q + 1]
+
+
+def test_q_quotient_refuses_a_series():
+    # (1 - q) / (1 - q^2) = 1 / (1 + q) is no polynomial
+    with pytest.raises(InexactDivision):
+        q_quotient((1,), (2,))
+    assert q_quotient((1,), (2,), 4) == [1, -1, 1, -1, 1]
+    assert q_quotient((), (1,), 3) == [1, 1, 1, 1]
+
+
+def test_q_multinomial_refuses_negative_input():
+    with pytest.raises(ValueError, match="^part must be nonnegative, got -1$"):
+        q_multinomial((-1, 2))
+    with pytest.raises(ValueError, match="^max_q must be nonnegative, got -1$"):
+        q_multinomial((2, 1), -1)
 
 
 def test_q_one_specializations():

@@ -63,35 +63,30 @@ def _over_one_minus(coefficients: list[int], v: int) -> None:
         coefficients[j] += coefficients[j - v]
 
 
-def q_quotient(up: Iterable[int], down: Iterable[int], max_q: int | None = None) -> list[int]:
+def q_quotient(up: Iterable[int], down: Iterable[int]) -> list[int]:
     """The coefficients of prod_{a in up} (1 - q^a) / prod_{b in down} (1 - q^b), all a, b > 0:
-    common factors cancelled, then one (1 - q^v) pass per factor left on a power series.  Cut at
-    q^max_q if given; else the quotient must be a polynomial, or InexactDivision."""
+    common factors cancelled, then one (1 - q^v) pass per factor left on a power series as long
+    as the numerator; its tail past the quotient's degree must vanish, or InexactDivision."""
     surplus = Counter(up)
     surplus.subtract(down)
     numerator = sum(v * c for v, c in surplus.items() if c > 0)
     degree = numerator + sum(v * c for v, c in surplus.items() if c < 0)
-    coefficients = [1] + [0] * (numerator if max_q is None else max_q)
+    coefficients = [1] + [0] * numerator
     for v, c in surplus.items():
         for _ in range(abs(c)):
             (_times_one_minus if c > 0 else _over_one_minus)(coefficients, v)
-    if max_q is not None:
-        return coefficients
     if degree < 0 or any(coefficients[degree + 1:]):
         raise InexactDivision(f"prod (1 - q^b) over b in {sorted((-surplus).elements())} does "
                               f"not divide prod (1 - q^a) over a in {sorted(surplus.elements())}")
     return coefficients[:degree + 1]
 
 
-def q_multinomial(parts: tuple[int, ...], max_q: int | None = None) -> Poly:
-    """q-analog of the multinomial coefficient (sum parts; parts), cut at q^max_q if given:
+def q_multinomial(parts: tuple[int, ...]) -> Poly:
+    """q-analog of the multinomial coefficient (sum parts; parts):
     [n]_q! / prod [m]_q! over the parts m, that is (q)_n / prod (q)_m."""
     check_nonnegative("part", min(parts, default=0))
-    n = sum(parts)
-    if max_q is not None:
-        check_nonnegative("max_q", max_q)
     down = [v for m in parts for v in range(1, m + 1)]
-    return from_coefficients(q_quotient(range(1, n + 1), down, max_q), "q")
+    return from_coefficients(q_quotient(range(1, sum(parts) + 1), down), "q")
 
 
 def partition_counts(cap: int) -> Iterator[list[int]]:

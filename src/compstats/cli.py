@@ -11,12 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-# each subcommand imports the rest of what it runs, so a table never loads
-# the enumeration or OEIS modules
-from . import distributions
+# each subcommand and verify check imports what it runs, so a table never
+# loads the enumeration or OEIS modules, and an enumerating check never
+# loads the closed forms
 from .errors import LIMITS, CompstatsError, InexactDivision, NetworkUnavailable
-from .polynomial import Poly, monomial_exponents
+
+if TYPE_CHECKING:
+    from .distributions import DistTable
+    from .polynomial import Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,6 +37,8 @@ GRID_COLUMNS = {"ic": 13, "dc": 6}
 # ---------------------------------------------------------------------------
 
 def cmd_hk(args: argparse.Namespace) -> int:
+    from . import distributions
+
     poly = distributions.maj_inv_poly(args.k)
     if args.format == "json":
         print(json.dumps({"k": args.k, "terms": poly.to_json_obj()}))
@@ -45,7 +51,7 @@ def cmd_hk(args: argparse.Namespace) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _render_grid(table: distributions.DistTable, columns: int) -> str:
+def _render_grid(table: DistTable, columns: int) -> str:
     header = ["n/r"] + [str(r) for r in range(columns)]
     rows = [header]
     for n in range(table.cap + 1):
@@ -57,6 +63,8 @@ def _render_grid(table: distributions.DistTable, columns: int) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import distributions
+
     if args.kind == "ic":
         table = distributions.DistTable.inversions(args.max_n, k=args.k)
     else:
@@ -107,6 +115,8 @@ def cmd_bij(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _first_poly_difference(a: Poly, b: Poly) -> str:
+    from .polynomial import monomial_exponents
+
     diff = a - b
     key, _ = next(diff.terms())
     exponents = monomial_exponents(key)
@@ -115,18 +125,24 @@ def _first_poly_difference(a: Poly, b: Poly) -> str:
 
 
 def _check_prod(max_t: int, cap: int) -> tuple[bool, str]:
+    from . import distributions
+
     if not distributions.verify_product_expansion(max_t, cap):
         return False, f"product expansion differs within t-degrees 0..{max_t} (caps {cap},{cap})"
     return True, f"t-degrees 0..{max_t}, caps ({cap},{cap})"
 
 
 def _check_geneuler(max_order: int) -> tuple[bool, str]:
+    from . import distributions
+
     if not distributions.verify_q_eulerian_gf(max_order):
         return False, f"q-Eulerian generating identity fails within orders 1..{max_order}"
     return True, f"orders 1..{max_order}"
 
 
 def _check_genfuncid(max_k: int, cap: int) -> tuple[bool, str]:
+    from . import distributions
+
     for k in range(max_k + 1):
         if not distributions.verify_composition_count_identity(k, cap):
             return False, f"composition-count identity fails at k={k}, cap={cap}"
@@ -177,6 +193,7 @@ def _check_macmahon(max_n: int) -> tuple[bool, str]:
 
 
 def _check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
+    from . import distributions
     from .compositions import statistic_distribution as composition_distribution
 
     stats = ("sum", "inv", "comaj", "maj", "des")
@@ -211,14 +228,24 @@ def _check_foata(max_k: int) -> tuple[bool, str]:
     return True, f"S_k for k 0..{max_k}"
 
 
+def _pair(joint: Poly, first: str, second: str) -> Poly:
+    """The distribution of two variables of ``joint``, the others set to 1, renamed to (p, q)."""
+    for var in joint.variables_used() - {first, second}:
+        joint = joint.eval_at_one(var)
+    return joint.rename({first: "p", second: "q"})
+
+
 def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
     from .compositions import statistic_distribution as composition_distribution
     from .permutations import statistic_distribution as permutation_distribution
 
+    # one enumeration per k; each pair distribution is read off the joint one
+    variable = {"imaj": "p", "maj": "q", "inv": "t"}
     for k in range(max_k + 1):
-        reference = permutation_distribution(k, ("imaj", "maj"), ("p", "q"))
+        joint = permutation_distribution(k, tuple(variable), tuple(variable.values()))
+        reference = _pair(joint, variable["imaj"], variable["maj"])
         for stats in (("inv", "imaj"), ("maj", "inv")):
-            other = permutation_distribution(k, stats, ("p", "q"))
+            other = _pair(joint, variable[stats[0]], variable[stats[1]])
             if other != reference:
                 return False, (f"k={k}: ({stats[0]},{stats[1]}) distribution differs: "
                                + _first_poly_difference(other, reference))
@@ -227,13 +254,16 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
             return False, f"k={k}: joint distribution is not symmetric"
     comp_max_k = min(max_k, 5)
     comp_cap = min(cap, 12)
+    variable = {"sum": "p", "inv": "q", "maj": "t", "comaj": "u"}
     for k in range(comp_max_k + 1):
-        reference = composition_distribution(k, comp_cap, ("sum", "inv"), ("p", "q"))
+        joint = composition_distribution(k, comp_cap, tuple(variable),
+                                         tuple(variable.values())).body
+        reference = _pair(joint, variable["sum"], variable["inv"])
         for stat in ("maj", "comaj"):
-            other = composition_distribution(k, comp_cap, ("sum", stat), ("p", "q"))
+            other = _pair(joint, variable["sum"], variable[stat])
             if other != reference:
                 return False, (f"k={k}: (sum,{stat}) over compositions differs: "
-                               + _first_poly_difference(other.body, reference.body))
+                               + _first_poly_difference(other, reference))
     return True, (f"S_k for k 0..{max_k}; compositions k 0..{comp_max_k}, "
                   f"cap {comp_cap}")
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import combinations
+from operator import sub
 
 from . import statistics
 from .errors import EmptyComposition, LengthMismatch, check_size
 from .partitions import Partition, check_partition
-from .permutations import Permutation, check_permutation, inverse_permutation
+from .permutations import Permutation, check_permutation
 from .polynomial import Series
 
 Composition = tuple[int, ...]
@@ -34,17 +36,11 @@ def compositions_of(n: int, k: int) -> Iterator[Composition]:
     check_size("compositions", "n", n)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-
-    def build(total: int, parts: int) -> Iterator[Composition]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for last in range(1, total - parts + 2):
-            for prefix in build(total - last, parts - 1):
-                yield prefix + (last,)
-
-    return build(n, k)
+    if not 0 < k <= n:
+        return iter([()] if n == k else [])
+    # decreasing cut points come in colex order of the compositions they cut
+    return (tuple(map(sub, (n, *cuts), (*cuts, 0)))[::-1]
+            for cuts in combinations(range(n - 1, 0, -1), k - 1))
 
 
 def all_compositions(n: int) -> Iterator[Composition]:
@@ -88,7 +84,8 @@ def sorting_permutation(sigma: Sequence[int]) -> Permutation:
     sigma = check_composition(sigma)
     if not sigma:
         raise EmptyComposition("the empty composition has no sorting permutation")
-    return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: (-sigma[i - 1], i)))
+    # a stable sort keeps tied parts in increasing index order
+    return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: -sigma[i - 1]))
 
 
 def _descent_shifts(pi: Permutation) -> list[int]:
@@ -125,12 +122,12 @@ def macmahon_inverse(pi: Sequence[int], lam: Sequence[int]) -> Composition:
     if len(pi) != len(lam):
         raise LengthMismatch(
             f"permutation size {len(pi)} != partition length {len(lam)}")
-    mu = [part + shift for part, shift in zip(lam, _descent_shifts(pi))]
-    inverse = inverse_permutation(pi)
-    sigma = tuple(mu[inverse[i] - 1] for i in range(len(pi)))
+    sigma = [0] * len(pi)
+    for position, part, shift in zip(pi, lam, _descent_shifts(pi)):
+        sigma[position - 1] = part + shift
     if any(part < 1 for part in sigma):
-        raise ValueError(f"reconstruction produced nonpositive parts: {sigma}")
-    return sigma
+        raise ValueError(f"reconstruction produced nonpositive parts: {tuple(sigma)}")
+    return tuple(sigma)
 
 
 def statistic_distribution(k: int, cap: int, stats: Sequence[str],

@@ -270,6 +270,8 @@ def verify_product_expansion(max_t: int, cap: int) -> bool:
     every k <= max_t.  The (a, b) = (0, 0) factor contributes the geometric
     series in t alone.
     """
+    check_nonnegative("max_t", max_t)
+    check_nonnegative("cap", cap)
     caps = {"p": cap, "q": cap, "t": max_t}
     product = Poly.one()
     for a in range(cap + 1):
@@ -300,6 +302,7 @@ def verify_q_eulerian_gf(max_order: int) -> bool:
 
     where A_i is :func:`q_eulerian_poly`.  Pure polynomial arithmetic.
     """
+    check_nonnegative("max_order", max_order)
     t_minus_one = Poly.variable("t") - 1
     for m in range(1, max_order + 1):
         lhs = Poly.zero()

@@ -30,13 +30,43 @@ def check_partition(shape: Sequence[int]) -> Partition:
     return shape
 
 
-def _descending_parts(n: int, max_part: int) -> Iterator[Partition]:
+def _descending_parts(n: int) -> Iterator[Partition]:
+    """The partitions of n in reverse-lexicographic order, without recursion.
+
+    Algorithm ZS1 (Zoghbi and Stojmenovic, Fast algorithms for generating
+    integer partitions, Int. J. Comput. Math. 70, 1998): the parts live in
+    one list whose unused tail holds ones, and ``h`` indexes the last part
+    above 1.  Each step lowers that part by one and refills the parts after
+    it greedily with the freed units.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first,) + rest
+    parts = [1] * n
+    parts[0] = n
+    length, h = 1, 0
+    yield (n,)
+    while parts[0] != 1:
+        if parts[h] == 2:
+            length += 1
+            parts[h] = 1
+            h -= 1
+        else:
+            r = parts[h] - 1
+            units = length - h  # the unit taken off parts[h] and the ones after it
+            parts[h] = r
+            while units >= r:
+                h += 1
+                parts[h] = r
+                units -= r
+            if units == 0:
+                length = h + 1
+            else:
+                length = h + 2
+                if units > 1:
+                    h += 1
+                    parts[h] = units
+        yield tuple(parts[:length])
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +74,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    return tuple(_descending_parts(n, n))
+    return tuple(_descending_parts(n))
 
 
 def partitions_of_length(n: int, k: int) -> tuple[Partition, ...]:

@@ -84,16 +84,18 @@ def foata(pi: Sequence[int]) -> Permutation:
         return pi
     image = [pi[0]]
     for x in pi[1:]:
-        if image[-1] < x:
-            splits = [i for i, y in enumerate(image) if y < x]
-        else:
-            splits = [i for i, y in enumerate(image) if y > x]
+        low = image[-1] < x
         rebuilt: list[int] = []
-        start = 0
-        for end in splits:
-            rebuilt.append(image[end])
-            rebuilt.extend(image[start:end])
-            start = end + 1
+        block: list[int] = []
+        # a letter on the side of x that image[-1] is on ends a block and moves
+        # to the block's front; image[-1] itself closes the last block
+        for y in image:
+            if (y < x) is low:
+                rebuilt.append(y)
+                rebuilt += block
+                block = []
+            else:
+                block.append(y)
         rebuilt.append(x)
         image = rebuilt
     return tuple(image)
@@ -106,22 +108,19 @@ def foata_inverse(pi: Sequence[int]) -> Permutation:
     while len(word) > 1:
         x = word.pop()
         tail.append(x)
-        if word[0] < x:
-            satisfies = [y < x for y in word]
-        else:
-            satisfies = [y > x for y in word]
-        # blocks start at each satisfying letter; cycle each one step left
+        low = word[0] < x
+        # blocks start at each letter on the side of x that word[0] is on;
+        # cycle each one step left
         rebuilt: list[int] = []
-        block_head: int | None = None
-        for y, hit in zip(word, satisfies):
-            if hit:
-                if block_head is not None:
-                    rebuilt.append(block_head)
-                block_head = y
+        letters = iter(word)
+        head = next(letters)
+        for y in letters:
+            if (y < x) is low:
+                rebuilt.append(head)
+                head = y
             else:
                 rebuilt.append(y)
-        if block_head is not None:
-            rebuilt.append(block_head)
+        rebuilt.append(head)
         word = rebuilt
     tail.extend(word)
     return tuple(reversed(tail))

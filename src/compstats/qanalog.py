@@ -113,6 +113,7 @@ def check_q_exponential_inverse(max_order: int) -> bool:
     sum_{j=0..m} (-1)^j q^C(j,2) gauss(m, j) = 0 for every m >= 1.  Returns
     True iff it holds for all 1 <= m <= max_order.
     """
+    check_nonnegative("max_order", max_order)
     for m in range(1, max_order + 1):
         total = Poly.zero()
         for j in range(m + 1):

@@ -242,6 +242,39 @@ def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     assert out.startswith("FAIL prod")
 
 
+def test_verify_all_output_is_golden(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out == (DATA / "golden" / "verify_all.txt").read_text()
+
+
+def test_equidist_compares_distinct_distributions(capsys, monkeypatch):
+    # each pair read off the one joint distribution must still be compared
+    # with the reference, not with itself
+    from compstats import compositions, permutations, statistics
+
+    monkeypatch.setitem(permutations.STATISTICS, "imaj", statistics.major_index)
+    code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "4", "--cap", "6")
+    assert code == 1
+    assert out.startswith("FAIL equidist: k=3: (inv,imaj) distribution differs: ")
+
+    monkeypatch.undo()
+    monkeypatch.setitem(compositions.STATISTICS, "comaj", statistics.descent_number)
+    code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "4", "--cap", "6")
+    assert code == 1
+    assert out.startswith("FAIL equidist: k=3: (sum,comaj) over compositions differs: ")
+
+
+def test_foata_suite_checks_the_round_trip(capsys, monkeypatch):
+    from compstats import permutations
+
+    monkeypatch.setattr(permutations, "foata_inverse", tuple)
+    code, out, _ = run(capsys, "verify", "--suite", "foata", "--k", "4")
+    assert code == 1
+    assert out.startswith("FAIL foata: pi=")
+    assert out.endswith(": foata round-trip failed\n")
+
+
 def test_first_poly_difference_message():
     from compstats.cli import _first_poly_difference
     from compstats.polynomial import p, q

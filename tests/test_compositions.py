@@ -42,6 +42,20 @@ def test_compositions_colex_order():
     assert len(set(listed)) == len(listed)
 
 
+def _reference_compositions(n, k):
+    # recursive colex listing: the last part varies slowest
+    if k == 0:
+        return [()] if n == 0 else []
+    return [prefix + (last,) for last in range(1, n - k + 2)
+            for prefix in _reference_compositions(n - last, k - 1)]
+
+
+def test_compositions_of_matches_a_recursive_reference():
+    for n in range(13):
+        for k in range(n + 2):
+            assert list(compositions_of(n, k)) == _reference_compositions(n, k)
+
+
 def test_compositions_too_large():
     with pytest.raises(TooLarge):
         compositions_of(25, 3)

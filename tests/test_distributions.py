@@ -431,7 +431,11 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
                        (lambda: inv_gf_recurrence(-1, 5), "k"),
                        (lambda: maj_inv_poly_carlitz(-1), "k"),
                        (lambda: verify_composition_count_identity(-1, 5), "k"),
-                       (lambda: pochhammer_inverse_series(-1, "q", 5), "n")):
+                       (lambda: pochhammer_inverse_series(-1, "q", 5), "n"),
+                       (lambda: verify_product_expansion(-1, 3), "max_t"),
+                       (lambda: verify_product_expansion(2, -1), "cap"),
+                       (lambda: verify_q_eulerian_gf(-1), "max_order"),
+                       (lambda: qanalog.check_q_exponential_inverse(-1), "max_order")):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$") as exc:
             call()
         assert not isinstance(exc.value, TooLarge)

@@ -62,6 +62,20 @@ def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
     assert "dataclasses" not in used
 
 
+@pytest.mark.parametrize("argv, never", [
+    (("verify", "--suite", "foata", "--k", "3"),
+     {"compstats.distributions", "compstats.partitions", "compstats.qanalog"}),
+    (("verify", "--suite", "equidist", "--k", "3", "--cap", "4"), {"compstats.distributions"}),
+    (("verify", "--suite", "lemma", "--max-n", "4"), {"compstats.distributions"}),
+    (("verify", "--suite", "macmahon", "--max-n", "4"), {"compstats.distributions"}),
+    (("bij", "2,1"), {"compstats.distributions"}),
+])
+def test_enumerating_calls_do_not_load_the_closed_forms(argv, never):
+    used = loaded_modules(
+        "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+    assert used & never == set()
+
+
 def test_every_public_name_resolves():
     for name in compstats.__all__:
         value = getattr(compstats, name)

@@ -47,6 +47,19 @@ def test_partitions_reverse_lex_order():
         assert all(sum(shape) == n for shape in shapes)
 
 
+def _reference_partitions(n, max_part):
+    # recursive reverse-lexicographic listing: the largest first part first
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, max_part), 0, -1)
+            for rest in _reference_partitions(n - first, first)]
+
+
+def test_partitions_of_matches_a_recursive_reference():
+    for n in range(21):
+        assert partitions_of(n) == tuple(_reference_partitions(n, n))
+
+
 def test_partitions_of_length():
     assert partitions_of_length(4, 2) == ((3, 1), (2, 2))
     assert partitions_of_length(3, 3) == ((1, 1, 1),)

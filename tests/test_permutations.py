@@ -130,6 +130,56 @@ def test_foata_round_trip_random(pi):
     assert foata_inverse(foata(pi)) == pi
 
 
+def _reference_foata(pi):
+    # the block-splitting form of the transform: list the block ends, then
+    # rebuild the word from slices
+    image = [pi[0]] if pi else []
+    for x in pi[1:]:
+        if image[-1] < x:
+            splits = [i for i, y in enumerate(image) if y < x]
+        else:
+            splits = [i for i, y in enumerate(image) if y > x]
+        rebuilt, start = [], 0
+        for end in splits:
+            rebuilt.append(image[end])
+            rebuilt.extend(image[start:end])
+            start = end + 1
+        rebuilt.append(x)
+        image = rebuilt
+    return tuple(image)
+
+
+def _reference_foata_inverse(pi):
+    word, tail = list(pi), []
+    while len(word) > 1:
+        x = word.pop()
+        tail.append(x)
+        if word[0] < x:
+            satisfies = [y < x for y in word]
+        else:
+            satisfies = [y > x for y in word]
+        rebuilt, block_head = [], None
+        for y, hit in zip(word, satisfies):
+            if hit:
+                if block_head is not None:
+                    rebuilt.append(block_head)
+                block_head = y
+            else:
+                rebuilt.append(y)
+        if block_head is not None:
+            rebuilt.append(block_head)
+        word = rebuilt
+    tail.extend(word)
+    return tuple(reversed(tail))
+
+
+def test_foata_matches_the_block_splitting_reference():
+    for k in range(8):
+        for pi in all_permutations(k):
+            assert foata(pi) == _reference_foata(pi)
+            assert foata_inverse(pi) == _reference_foata_inverse(pi)
+
+
 def test_distribution_examples():
     assert statistic_distribution(2, ("maj", "inv"), ("p", "q")) == 1 + p * q
     expected_a3 = 1 + (2 * q + 2 * q ** 2) * t + q ** 3 * t ** 2

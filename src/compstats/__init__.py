@@ -18,10 +18,10 @@ _SOURCES = {
     for module, names in (
         ("polynomial", "Poly Series divexact geometric_series"),
         ("qanalog", "check_q_exponential_inverse gaussian_binomial "
-                    "pochhammer_inverse_series q_factorial q_int q_pochhammer"),
+                    "pochhammer_inverse_series q_factorial"),
         ("partitions", "b_statistic enumerate_standard_tableaux hook_lengths "
-                       "partitions_of partitions_of_length q_eulerian_weight "
-                       "syt_count syt_count_q tableau_major_index"),
+                       "partitions_of q_eulerian_weight syt_count syt_count_q "
+                       "tableau_major_index"),
         ("permutations", "all_permutations foata foata_inverse inverse_permutation "
                          "permutation_stats"),
         ("compositions", "composition_stats compositions_of macmahon_forward "

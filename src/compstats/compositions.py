@@ -13,8 +13,7 @@ from itertools import combinations
 from operator import sub
 
 from . import statistics
-from .errors import EmptyComposition, LengthMismatch, check_size
-from .partitions import Partition, check_partition
+from .errors import EmptyComposition, LengthMismatch, check_nonnegative, check_partition, check_size
 from .permutations import Permutation, check_permutation
 from .polynomial import Series
 
@@ -34,8 +33,7 @@ def check_composition(sigma: Sequence[int]) -> Composition:
 def compositions_of(n: int, k: int) -> Iterator[Composition]:
     """All k-part compositions of n, colexicographically (last part varies slowest)."""
     check_size("compositions", "n", n)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    check_nonnegative("k", k)
     if not 0 < k <= n:
         return iter([()] if n == k else [])
     # decreasing cut points come in colex order of the compositions they cut
@@ -96,7 +94,7 @@ def _descent_shifts(pi: Permutation) -> list[int]:
     return shifts
 
 
-def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, Partition]:
+def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, tuple[int, ...]]:
     """Map a composition to its (sorting permutation, partition) pair.
 
     Sorting sigma weakly decreasingly gives mu; subtracting from each mu_j
@@ -139,8 +137,7 @@ def statistic_distribution(k: int, cap: int, stats: Sequence[str],
     check_size("compositions", "cap", cap)
     if "sum" not in stats:
         raise ValueError('the "sum" statistic is required to anchor the truncation')
-    if k < 0:
-        raise ValueError(f"part count must be nonnegative, got {k}")
+    check_nonnegative("k", k)
     objects = (sigma for n in range(k, cap + 1) for sigma in compositions_of(n, k))
     body = statistics.distribution(objects, stats, variables, STATISTICS)
     return Series(body, variables[list(stats).index("sum")], cap)

@@ -13,6 +13,8 @@ nothing beyond the cap is claimed.
 from __future__ import annotations
 
 import json
+import sys
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
@@ -20,8 +22,22 @@ from operator import mul
 
 from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
 from .partitions import b_statistic, hook_quotient, partitions_of
-from .polynomial import SLOT_BITS, Poly, Series, divexact, geometric_series, monomial_key, pack, unpack
+from .polynomial import Poly, Series, divexact, geometric_series, monomial_key
 from .qanalog import gaussian_binomial, partition_counts, pochhammer_inverse_series, q_factorial
+
+# A packed polynomial is one int, sum_e c_e 2^(SLOT_BITS e). Packing is a ring map, so packed
+# sums and products stay exact; unpack reads back results with coefficients in [0, 2^SLOT_BITS).
+SLOT_BITS = 64  # fixed, not a setting: unpack reads each slot as one 8-byte "Q" word
+
+
+def pack(coefficients: Iterable[int]) -> int:
+    return sum(c << (SLOT_BITS * e) for e, c in enumerate(coefficients))
+
+
+def unpack(packed: int) -> list[int]:
+    """The coefficients of a packed polynomial, up to its last nonzero one."""
+    words = packed.to_bytes(-(-packed.bit_length() // SLOT_BITS) * (SLOT_BITS // 8), sys.byteorder)
+    return memoryview(words).cast("Q").tolist()[::1 if sys.byteorder == "little" else -1]
 
 
 # ---------------------------------------------------------------------------

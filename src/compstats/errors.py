@@ -4,6 +4,8 @@ Everything that signals a violated precondition derives from ValueError so
 callers who do not care about the fine distinction can catch that.
 """
 
+from collections.abc import Sequence
+
 
 class CompstatsError(ValueError):
     """Base class for contract violations raised by this library."""
@@ -86,3 +88,14 @@ def check_size(limit: str, what: str, value: int) -> None:
     check_nonnegative(what, value)
     if value > LIMITS[limit]:
         raise TooLarge(f"{what} {value} exceeds the {limit} limit {LIMITS[limit]}")
+
+
+def check_partition(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple; a ValueError unless its parts are positive and weakly decreasing."""
+    shape = tuple(shape)
+    for i, part in enumerate(shape):
+        if part < 1:
+            raise ValueError(f"partition parts must be positive, got {shape}")
+        if i and shape[i - 1] < part:
+            raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
+    return shape

@@ -92,8 +92,9 @@ def load_metadata(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> Mapping:
-    """The sequence's mapping: ``metadata`` overrides the :data:`SEQUENCES` defaults.
+def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> tuple[str, int, int]:
+    """The sequence's (quantity, n_start, offset): ``metadata`` overrides the :data:`SEQUENCES`
+    defaults, and a mapping without n_start or offset starts both at 1.
 
     Raises UnknownSequence unless ``metadata`` maps sequence ids to mappings and the
     sequence's mapping names a quantity of :data:`QUANTITIES`, with sound indices.
@@ -111,15 +112,13 @@ def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> Map
     if type(n_start) is not int or n_start < 0 or type(offset) is not int:  # no bool either
         raise UnknownSequence(f"the metadata of sequence {sequence_id!r} needs a nonnegative "
                               f"int n_start and an int offset, not {n_start!r} and {offset!r}")
-    return meta
+    return meta["quantity"], n_start, offset
 
 
 def sequence_terms(sequence_id: str, max_n: int,
                    metadata: Mapping[str, dict] | None = None) -> list[int]:
     """The artifact's values for the sequence, linearized to the b-file order."""
-    meta = _sequence_meta(sequence_id, metadata)
-    quantity = meta["quantity"]
-    n_start = meta.get("n_start", 1)
+    quantity, n_start, _ = _sequence_meta(sequence_id, metadata)
     terms: list[int] = []
     if quantity == "ic_total":
         by_n, _ = inversion_totals(max_n)
@@ -153,7 +152,7 @@ class CheckReport(namedtuple("CheckReport", "sequence_id terms_checked agree fir
 def check_sequence(sequence_id: str, bfile: BFile, max_n: int,
                    metadata: Mapping[str, dict] | None = None) -> CheckReport:
     """Compare the b-file against computed values for all indices both cover."""
-    offset = _sequence_meta(sequence_id, metadata).get("offset", 1)
+    _, _, offset = _sequence_meta(sequence_id, metadata)
     expected = sequence_terms(sequence_id, max_n, metadata)
     checked = 0
     for index, value in bfile.rows:

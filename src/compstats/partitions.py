@@ -12,22 +12,12 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial
 
-from .errors import EmptyPartition, InexactDivision, check_size
+from .errors import EmptyPartition, InexactDivision, check_nonnegative, check_partition, check_size
 from .polynomial import Poly, from_coefficients
 from .qanalog import q_multinomial, q_quotient
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
-
-
-def check_partition(shape: Sequence[int]) -> Partition:
-    shape = tuple(shape)
-    for i, part in enumerate(shape):
-        if part < 1:
-            raise ValueError(f"partition parts must be positive, got {shape}")
-        if i and shape[i - 1] < part:
-            raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
-    return shape
 
 
 def _descending_parts(n: int) -> Iterator[Partition]:
@@ -72,16 +62,8 @@ def _descending_parts(n: int) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
+    check_nonnegative("n", n)
     return tuple(_descending_parts(n))
-
-
-def partitions_of_length(n: int, k: int) -> tuple[Partition, ...]:
-    """Partitions of n with exactly k parts, in the order of partitions_of."""
-    if k < 0:
-        raise ValueError(f"part count must be nonnegative, got {k}")
-    return tuple(shape for shape in partitions_of(n) if len(shape) == k)
 
 
 def conjugate(shape: Sequence[int]) -> Partition:

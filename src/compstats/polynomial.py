@@ -14,10 +14,9 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import CapVarMismatch, InexactDivision, NonConvergent
+from .errors import CapVarMismatch, InexactDivision, NonConvergent, check_nonnegative
 
 VARIABLES = ("p", "q", "t", "u", "v")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -79,10 +78,6 @@ class Poly:
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> Poly:
         return cls({monomial_key({name: exponent}): 1})
-
-    @classmethod
-    def term(cls, exponents: Mapping[str, int], coeff: int = 1) -> Poly:
-        return cls({monomial_key(exponents): coeff})
 
     # -- inspection ----------------------------------------------------------
 
@@ -290,14 +285,6 @@ class Poly:
             for key, coeff in self.terms()
         ]
 
-    @classmethod
-    def from_json_obj(cls, data: Iterable[Mapping]) -> Poly:
-        terms: dict[Monomial, int] = {}
-        for item in data:
-            key = monomial_key(item["exponents"])
-            terms[key] = terms.get(key, 0) + int(item["coefficient"])
-        return cls(terms)
-
 
 # convenience singletons for building polynomials in code and tests
 p = Poly.variable("p")
@@ -321,8 +308,7 @@ class Series:
     def __init__(self, body: Poly, cap_var: str, cap: int):
         if cap_var not in _VAR_INDEX:
             raise ValueError(f"unknown variable {cap_var!r}")
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
+        check_nonnegative("cap", cap)
         self._body = body.truncate({cap_var: cap})
         self._cap_var = cap_var
         self._cap = cap
@@ -419,21 +405,6 @@ def from_coefficients(coefficients: Iterable[int], var: str) -> Poly:
     return Poly({monomial_key({var: e}): c for e, c in enumerate(coefficients)})
 
 
-# A packed polynomial is one int, sum_e c_e 2^(SLOT_BITS e). Packing is a ring map, so packed
-# sums and products stay exact; unpack reads back results with coefficients in [0, 2^SLOT_BITS).
-SLOT_BITS = 64  # fixed, not a setting: unpack reads each slot as one 8-byte "Q" word
-
-
-def pack(coefficients: Iterable[int]) -> int:
-    return sum(c << (SLOT_BITS * e) for e, c in enumerate(coefficients))
-
-
-def unpack(packed: int) -> list[int]:
-    """The coefficients of a packed polynomial, up to its last nonzero one."""
-    words = packed.to_bytes(-(-packed.bit_length() // SLOT_BITS) * (SLOT_BITS // 8), sys.byteorder)
-    return memoryview(words).cast("Q").tolist()[::1 if sys.byteorder == "little" else -1]
-
-
 def divexact(numerator: Poly, denominator: Poly, var: str) -> Poly:
     """Exact division of univariate polynomials in ``var`` over the integers.
 
@@ -475,10 +446,4 @@ def divexact(numerator: Poly, denominator: Poly, var: str) -> Poly:
             rem[i + j] -= c * dcoeff
     if any(rem):
         raise InexactDivision("nonzero remainder in supposedly exact division")
-    terms = {}
-    for e, c in enumerate(quot):
-        if c:
-            key = [0] * _NVARS
-            key[idx] = e
-            terms[tuple(key)] = c
-    return Poly(terms)
+    return from_coefficients(quot, var)

@@ -1,7 +1,7 @@
-"""q-analog building blocks: [n]_q, [n]_q!, (q)_n, Gaussian binomials and q-multinomials.
+"""q-analog building blocks: [n]_q!, Gaussian binomials, q-multinomials and 1/(q)_n.
 
-The polynomials are in the variable q (Poly.rename moves them).  [n]_q!, (q)_n, the q-multinomials
-and the hook quotients are all q_quotient, which like the partition counts works on dense lists.
+The polynomials are in the variable q (Poly.rename moves them).  [n]_q!, the q-multinomials and
+the hook quotients are all q_quotient, which like the partition counts works on dense lists.
 """
 
 from __future__ import annotations
@@ -16,25 +16,10 @@ from .errors import InexactDivision, OutOfRange, check_nonnegative
 from .polynomial import Poly, Series, from_coefficients
 
 
-def q_int(n: int) -> Poly:
-    """[n]_q = 1 + q + ... + q^(n-1); the zero polynomial for n = 0."""
-    if n < 0:
-        raise OutOfRange(f"q_int requires n >= 0, got {n}")
-    return from_coefficients([1] * n, "q")
-
-
 def q_factorial(n: int) -> Poly:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q = (q)_n / (1 - q)^n, with [0]_q! = 1."""
-    if n < 0:
-        raise OutOfRange(f"q_factorial requires n >= 0, got {n}")
+    check_nonnegative("n", n)
     return from_coefficients(q_quotient(range(1, n + 1), [1] * n), "q")
-
-
-def q_pochhammer(n: int) -> Poly:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n), with (q)_0 = 1."""
-    if n < 0:
-        raise OutOfRange(f"q_pochhammer requires n >= 0, got {n}")
-    return from_coefficients(q_quotient(range(1, n + 1), ()), "q")
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from compstats import partitions, qanalog
-from compstats.compositions import statistic_distribution as composition_distribution
+from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
     DistTable,
     _hook_sum,
@@ -435,7 +435,12 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
                        (lambda: verify_product_expansion(-1, 3), "max_t"),
                        (lambda: verify_product_expansion(2, -1), "cap"),
                        (lambda: verify_q_eulerian_gf(-1), "max_order"),
-                       (lambda: qanalog.check_q_exponential_inverse(-1), "max_order")):
+                       (lambda: qanalog.check_q_exponential_inverse(-1), "max_order"),
+                       (lambda: partitions_of(-1), "n"),
+                       (lambda: compositions_of(3, -1), "k"),
+                       (lambda: composition_distribution(-1, 5, ("sum",), ("p",)), "k"),
+                       (lambda: q_factorial(-1), "n"),
+                       (lambda: Series(Poly.one(), "q", -1), "cap")):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$") as exc:
             call()
         assert not isinstance(exc.value, TooLarge)

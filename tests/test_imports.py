@@ -62,13 +62,16 @@ def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
     assert "dataclasses" not in used
 
 
+CLOSED_FORMS = {"compstats.distributions", "compstats.partitions", "compstats.qanalog"}
+
+
+# the compositions side imports check_partition from errors, not from partitions
 @pytest.mark.parametrize("argv, never", [
-    (("verify", "--suite", "foata", "--k", "3"),
-     {"compstats.distributions", "compstats.partitions", "compstats.qanalog"}),
-    (("verify", "--suite", "equidist", "--k", "3", "--cap", "4"), {"compstats.distributions"}),
-    (("verify", "--suite", "lemma", "--max-n", "4"), {"compstats.distributions"}),
-    (("verify", "--suite", "macmahon", "--max-n", "4"), {"compstats.distributions"}),
-    (("bij", "2,1"), {"compstats.distributions"}),
+    (("verify", "--suite", "foata", "--k", "3"), CLOSED_FORMS),
+    (("verify", "--suite", "equidist", "--k", "3", "--cap", "4"), CLOSED_FORMS),
+    (("verify", "--suite", "lemma", "--max-n", "4"), CLOSED_FORMS),
+    (("verify", "--suite", "macmahon", "--max-n", "4"), CLOSED_FORMS),
+    (("bij", "2,1"), CLOSED_FORMS),
 ])
 def test_enumerating_calls_do_not_load_the_closed_forms(argv, never):
     used = loaded_modules(

@@ -10,7 +10,6 @@ from compstats.partitions import (
     enumerate_standard_tableaux,
     hook_lengths,
     partitions_of,
-    partitions_of_length,
     q_eulerian_weight,
     syt_count,
     syt_count_q,
@@ -58,12 +57,6 @@ def _reference_partitions(n, max_part):
 def test_partitions_of_matches_a_recursive_reference():
     for n in range(21):
         assert partitions_of(n) == tuple(_reference_partitions(n, n))
-
-
-def test_partitions_of_length():
-    assert partitions_of_length(4, 2) == ((3, 1), (2, 2))
-    assert partitions_of_length(3, 3) == ((1, 1, 1),)
-    assert partitions_of_length(2, 3) == ()
 
 
 def test_hook_lengths_known_grid():

@@ -4,9 +4,9 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
+from compstats.distributions import SLOT_BITS, pack, unpack
 from compstats.errors import LIMITS, CapVarMismatch, InexactDivision, NonConvergent
 from compstats.polynomial import (
-    SLOT_BITS,
     VARIABLES,
     Poly,
     Series,
@@ -15,10 +15,8 @@ from compstats.polynomial import (
     monomial_exponents,
     monomial_key,
     p,
-    pack,
     q,
     t,
-    unpack,
     v,
 )
 
@@ -138,10 +136,15 @@ def test_terms_in_graded_lex_order():
     assert degrees == sorted(degrees)
 
 
+def _from_json_obj(data):
+    # the reader of to_json_obj: one term per item, exponents by variable name
+    return Poly({monomial_key(item["exponents"]): int(item["coefficient"]) for item in data})
+
+
 def test_json_round_trip():
     x = 1 + 2 * p * q - 3 * q ** 4
     data = json.loads(json.dumps(x.to_json_obj()))
-    assert Poly.from_json_obj(data) == x
+    assert _from_json_obj(data) == x
     assert data[0] == {"exponents": {}, "coefficient": "1"}
 
 
@@ -150,7 +153,7 @@ def test_json_round_trip():
 @example(-3 * p * v ** 2 + 5)
 def test_json_round_trip_property(x):
     data = json.loads(json.dumps(x.to_json_obj()))
-    assert Poly.from_json_obj(data) == x
+    assert _from_json_obj(data) == x
 
 
 def test_monomial_key_validation():
@@ -235,7 +238,7 @@ def test_geometric_series_nonconvergent():
 def test_geometric_series_inverts_one_minus_m(step, qexp, cap):
     m = {"p": step, "q": qexp}
     series = geometric_series(m, "p", cap)
-    one_minus = Series(1 - Poly.term(m), "p", cap)
+    one_minus = Series(1 - Poly({monomial_key(m): 1}), "p", cap)
     assert (series * one_minus) == Series.one("p", cap)
 
 

@@ -130,12 +130,6 @@ def _check_leading(k: int | None, cap: int) -> None:
         raise CapTooSmall(f"cap {cap} cannot hold the leading term of degree {k}")
 
 
-def _leading_over_pochhammer(k: int, var: str, cap: int) -> Series:
-    """x^k / (x)_k as a truncated series: the size generating function of k-partitions."""
-    _check_leading(k, cap)
-    return pochhammer_inverse_series(k, var, cap) * Poly.variable(var, k)
-
-
 def _packed_rows(kernel, cap: int, k: int | None = None):
     """Yield (n, j, the packed statistic polynomial of the j-compositions of n) for j <= n <= cap
     and every j, or j = k only: x^j / (x)_j times the kernel K_j, sum_a P_j[n-j-a] K_j[a], with P_j
@@ -237,14 +231,22 @@ def des_gf_total_rational(cap: int) -> Series:
                   "q", cap)
 
 
+def _over_k_partitions(limit: str, k: int, cap: int, stats: tuple[str, ...],
+                       variables: tuple[str, ...]) -> Series:
+    """p^k / (p)_k, the size series of k-partitions, times the distribution of ``stats`` over
+    S_k in ``variables``; k is capped at LIMITS[limit]."""
+    check_size(limit, "k", k)
+    _check_leading(k, cap)
+    from . import permutations
+
+    dist = permutations.statistic_distribution(k, stats, variables)
+    return pochhammer_inverse_series(k, "p", cap) * Poly.variable("p", k) * dist
+
+
 def comaj_des_gf(k: int, cap: int) -> Series:
     """Series in p, exact in (q, t): coefficient of p^n q^c t^d counts
     k-compositions of n with comajor index c and d descents."""
-    check_size("comaj_des", "k", k)
-    from . import permutations
-
-    dist = permutations.statistic_distribution(k, ("maj", "imaj", "ides"), ("p", "q", "t"))
-    return _leading_over_pochhammer(k, "p", cap) * dist
+    return _over_k_partitions("comaj_des", k, cap, ("maj", "imaj", "ides"), ("p", "q", "t"))
 
 
 def joint_gf(k: int, cap: int) -> Series:
@@ -255,12 +257,8 @@ def joint_gf(k: int, cap: int) -> Series:
     from the matching inverse statistics over S_k behind the k-partition
     size series.
     """
-    check_size("joint", "k", k)
-    from . import permutations
-
-    dist = permutations.statistic_distribution(
-        k, ("maj", "inv", "imaj", "icomaj", "ides"), ("p", "q", "t", "u", "v"))
-    return _leading_over_pochhammer(k, "p", cap) * dist
+    return _over_k_partitions("joint", k, cap, ("maj", "inv", "imaj", "icomaj", "ides"),
+                              ("p", "q", "t", "u", "v"))
 
 
 def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
@@ -292,12 +290,8 @@ def verify_product_expansion(max_t: int, cap: int) -> bool:
     product = Poly.one()
     for a in range(cap + 1):
         for b in range(cap + 1):
-            factor_terms = {}
-            j = 0
-            while j <= max_t and a * j <= cap and b * j <= cap:
-                factor_terms[monomial_key({"p": a * j, "q": b * j, "t": j})] = 1
-                j += 1
-            product = (product * Poly(factor_terms)).truncate(caps)
+            factor = geometric_series({"p": a, "q": b, "t": 1}, "t", max_t).body.truncate(caps)
+            product = (product * factor).truncate(caps)
     by_t = product.coefficients_in("t")
     for k in range(max_t + 1):
         closed = (maj_inv_poly(k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import EmptyPartition, InexactDivision, check_nonnegative, check_partition, check_size
 from .polynomial import Poly, from_coefficients
@@ -92,14 +92,8 @@ def b_statistic(shape: Sequence[int]) -> int:
 
 def syt_count(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the given shape (hook-length formula)."""
-    shape = check_partition(shape)
-    if not shape:
-        raise EmptyPartition("the empty shape has no tableaux")
-    n = sum(shape)
-    product = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            product *= h
+    hooks = [h for row in hook_lengths(shape) for h in row]
+    n, product = len(hooks), prod(hooks)
     count, remainder = divmod(factorial(n), product)
     if remainder:
         raise InexactDivision(f"hook product {product} does not divide {n}!")
@@ -108,19 +102,17 @@ def syt_count(shape: Sequence[int]) -> int:
 
 def hook_quotient(shape: Sequence[int]) -> list[int]:
     """The coefficients of syt_count_q / q^b: [n]_q! / prod [h(u)]_q = (q)_n / prod (1 - q^h(u))."""
-    shape = check_partition(shape)
-    if not shape:
-        raise EmptyPartition("the empty shape has no tableaux")
-    n, hooks = sum(shape), [h for row in hook_lengths(shape) for h in row]
+    hooks = [h for row in hook_lengths(shape) for h in row]
     try:
-        return q_quotient(range(1, n + 1), hooks)
+        return q_quotient(range(1, len(hooks) + 1), hooks)
     except InexactDivision:
-        raise InexactDivision(f"the hook product of {shape} does not divide [{n}]_q!") from None
+        raise InexactDivision(
+            f"the hook product of {tuple(shape)} does not divide [{len(hooks)}]_q!") from None
 
 
-def syt_count_q(shape: Sequence[int], var: str = "q") -> Poly:
-    """q-analog of syt_count: q^b(shape) [n]_q! / prod [h(u)]_q, in ``var``."""
-    return from_coefficients([0] * b_statistic(shape) + hook_quotient(shape), var)
+def syt_count_q(shape: Sequence[int]) -> Poly:
+    """q-analog of syt_count: q^b(shape) [n]_q! / prod [h(u)]_q."""
+    return from_coefficients([0] * b_statistic(shape) + hook_quotient(shape), "q")
 
 
 def q_eulerian_weight(shape: Sequence[int]) -> Poly:

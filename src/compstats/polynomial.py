@@ -14,7 +14,8 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
 from .errors import CapVarMismatch, InexactDivision, NonConvergent, check_nonnegative
 
@@ -26,15 +27,22 @@ _CONST_KEY = (0,) * _NVARS
 Monomial = tuple[int, int, int, int, int]
 
 
+def _index(name: str) -> int:
+    """The exponent slot of a variable name."""
+    try:
+        return _VAR_INDEX[name]
+    except KeyError:
+        raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}") from None
+
+
 def monomial_key(exponents: Mapping[str, int]) -> Monomial:
     """Turn an {variable: exponent} mapping into an internal exponent tuple."""
     key = [0] * _NVARS
     for name, exp in exponents.items():
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
+        i = _index(name)
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for variable {name!r}")
-        key[_VAR_INDEX[name]] = exp
+        key[i] = exp
     return tuple(key)
 
 
@@ -60,6 +68,13 @@ class Poly:
                 if coeff != 0:
                     clean[key] = coeff
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> Poly:
+        """Wrap a term map that holds no zero coefficient, without copying it."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     # -- constructors -------------------------------------------------------
 
@@ -92,22 +107,17 @@ class Poly:
 
     def degree(self, var: str) -> int:
         """Largest exponent of ``var`` appearing in the support; -1 for the zero polynomial."""
-        idx = _VAR_INDEX[var]
+        idx = _index(var)
         if not self._terms:
             return -1
         return max(key[idx] for key in self._terms)
 
     def variables_used(self) -> set[str]:
-        used: set[str] = set()
-        for key in self._terms:
-            for i, e in enumerate(key):
-                if e:
-                    used.add(VARIABLES[i])
-        return used
+        return {name for name, column in zip(VARIABLES, zip(*self._terms)) if any(column)}
 
     def coefficients_in(self, var: str) -> dict[int, Poly]:
         """Split into {exponent of var: polynomial in the remaining variables}."""
-        idx = _VAR_INDEX[var]
+        idx = _index(var)
         grouped: dict[int, dict[Monomial, int]] = {}
         for key, coeff in self._terms.items():
             rest = key[:idx] + (0,) + key[idx + 1:]
@@ -148,16 +158,12 @@ class Poly:
                 out[key] = new
             else:
                 out.pop(key, None)
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        result = Poly.__new__(Poly)
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
+        return Poly._of({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: Poly | int) -> Poly:
         other = self._coerce(other)
@@ -182,9 +188,7 @@ class Poly:
                     out[key] = new
                 else:
                     del out[key]
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -204,51 +208,42 @@ class Poly:
 
     # -- substitution and reshaping -------------------------------------------
 
+    def _rekey(self, sources: Sequence[int]) -> Poly:
+        """Slot j of each new key is slot sources[j] of the old key, or 0 where sources[j] is
+        _NVARS; coefficients of terms that land on one monomial are summed."""
+        pick = itemgetter(*sources)
+        out: dict[Monomial, int] = {}
+        for key, coeff in self._terms.items():
+            new_key = pick(key + (0,))
+            out[new_key] = out.get(new_key, 0) + coeff
+        return Poly._of({key: coeff for key, coeff in out.items() if coeff})
+
     def eval_at_one(self, var: str) -> Poly:
         """Substitute ``var = 1``, recombining terms canonically."""
-        idx = _VAR_INDEX[var]
-        out: dict[Monomial, int] = {}
-        for key, coeff in self._terms.items():
-            new_key = key[:idx] + (0,) + key[idx + 1:]
-            new = out.get(new_key, 0) + coeff
-            if new:
-                out[new_key] = new
-            else:
-                del out[new_key]
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        idx = _index(var)
+        return self._rekey([_NVARS if i == idx else i for i in range(_NVARS)])
 
     def rename(self, mapping: Mapping[str, str]) -> Poly:
-        """Relabel variables; target variables must not already occur in the support."""
+        """Relabel variables; no two variables that occur may be sent to one variable."""
+        moves = {_index(src): _index(dst) for src, dst in mapping.items()}
         used = self.variables_used()
-        for src, dst in mapping.items():
-            if dst not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {dst!r}")
-            if dst != src and dst in used and dst not in mapping:
-                raise ValueError(f"rename target {dst!r} already occurs in the polynomial")
-        out: dict[Monomial, int] = {}
-        for key, coeff in self._terms.items():
-            new_key = [0] * _NVARS
-            for i, e in enumerate(key):
-                if not e:
-                    continue
-                name = VARIABLES[i]
-                new_key[_VAR_INDEX[mapping.get(name, name)]] += e
-            out[tuple(new_key)] = coeff
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        sources = [_NVARS] * _NVARS
+        for i, name in enumerate(VARIABLES):
+            if name in used:
+                j = moves.get(i, i)
+                if sources[j] != _NVARS:
+                    raise ValueError(f"rename sends both {VARIABLES[sources[j]]!r} and {name!r} "
+                                     f"to {VARIABLES[j]!r}")
+                sources[j] = i
+        return self._rekey(sources)
 
     def truncate(self, caps: Mapping[str, int]) -> Poly:
         """Discard every term whose exponent exceeds the cap in any capped variable."""
         out = self._terms
         for name, cap in caps.items():
-            i = _VAR_INDEX[name]
+            i = _index(name)
             out = {key: coeff for key, coeff in out.items() if key[i] <= cap}
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        return Poly._of(out)
 
     # -- rendering and serialization -------------------------------------------
 
@@ -306,8 +301,7 @@ class Series:
     __slots__ = ("_body", "_cap_var", "_cap")
 
     def __init__(self, body: Poly, cap_var: str, cap: int):
-        if cap_var not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {cap_var!r}")
+        _index(cap_var)
         check_nonnegative("cap", cap)
         self._body = body.truncate({cap_var: cap})
         self._cap_var = cap_var
@@ -387,14 +381,15 @@ def geometric_series(exponents: Mapping[str, int], cap_var: str, cap: int) -> Se
     expansion terminates; otherwise the request is rejected as non-convergent.
     """
     key = monomial_key(exponents)
-    step = key[_VAR_INDEX[cap_var]]
+    idx = _index(cap_var)
+    step = key[idx]
     if step <= 0:
         raise NonConvergent(
             f"monomial {monomial_exponents(key)} has no {cap_var!r} part; "
             "its geometric series does not terminate under the cap")
     terms: dict[Monomial, int] = {}
     power = _CONST_KEY
-    while power[_VAR_INDEX[cap_var]] <= cap:
+    while power[idx] <= cap:
         terms[power] = 1
         power = tuple(a + b for a, b in zip(power, key))
     return Series(Poly(terms), cap_var, cap)
@@ -412,13 +407,13 @@ def divexact(numerator: Poly, denominator: Poly, var: str) -> Poly:
     the callers use this only where exactness is a theorem, so a failure
     signals a bug rather than a data condition.
     """
+    idx = _index(var)
     for poly, label in ((numerator, "numerator"), (denominator, "denominator")):
         extra = poly.variables_used() - {var}
         if extra:
             raise ValueError(f"{label} is not univariate in {var!r}: uses {sorted(extra)}")
     if not denominator:
         raise ZeroDivisionError("polynomial division by zero")
-    idx = _VAR_INDEX[var]
     deg_n = numerator.degree(var)
     deg_d = denominator.degree(var)
     num = [0] * (deg_n + 1)

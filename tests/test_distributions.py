@@ -1,3 +1,4 @@
+import functools
 import json
 from math import comb, factorial
 
@@ -254,6 +255,16 @@ def test_comaj_des_gf_too_large():
         comaj_des_gf(9, 12)
 
 
+def test_a_short_cap_is_refused_before_s_k_is_enumerated(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("S_k was enumerated")
+
+    monkeypatch.setattr("compstats.permutations.statistic_distribution", enumerate_nothing)
+    for gf in (comaj_des_gf, joint_gf):
+        with pytest.raises(CapTooSmall):
+            gf(4, 3)
+
+
 def test_joint_gf_small_coefficient():
     series = joint_gf(2, 4)
     row = series.body.coefficients_in("p")[3]
@@ -375,6 +386,95 @@ def check_table_invariants(table: DistTable) -> None:
         for n in range(1, table.cap + 1):
             total = sum(c for (row_n, _), c in table.entries.items() if row_n == n)
             assert total == 2 ** (n - 1), f"row {n} sums to {total}, expected {2 ** (n - 1)}"
+
+
+# ---------------------------------------------------------------------------
+# Plain-integer DPs over compositions, reaching the table limit
+# ---------------------------------------------------------------------------
+
+def _add_into(acc, poly, shift=0):
+    # acc += q^shift poly, on coefficient lists
+    acc.extend([0] * (len(poly) + shift - len(acc)))
+    for e, c in enumerate(poly, start=shift):
+        acc[e] += c
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _inversion_dp(cap):
+    """(sum, length) -> inversion polynomial of the compositions with that sum and part count.
+    Part values are added in increasing order; m copies of a new largest value placed among
+    L smaller letters contribute [L+m, m]_q (MacMahon)."""
+    pascal = [[[1]]]  # pascal[n][m] = [n, m]_q by the q-Pascal rule
+    for n in range(1, cap + 1):
+        row = [[1]]
+        for m in range(1, n):
+            entry = list(pascal[n - 1][m - 1])
+            _add_into(entry, pascal[n - 1][m], m)
+            row.append(entry)
+        pascal.append(row + [[1]])
+    states = {(0, 0): [1]}
+    for value in range(1, cap + 1):
+        grown = {}
+        for (total, length), poly in states.items():
+            for m in range((cap - total) // value + 1):
+                _add_into(grown.setdefault((total + m * value, length + m), []),
+                          _convolve(poly, pascal[length + m][m]))
+        states = grown
+    return states
+
+
+@functools.lru_cache(maxsize=None)
+def _descent_dp(cap):
+    """(sum, length) -> descent polynomial of the compositions with that sum and part count,
+    by a transfer over (sum, last part, part count) that adds a descent when a part is smaller
+    than the one before it."""
+    states = {(part, part, 1): [1] for part in range(1, cap + 1)}
+    by_size = {(0, 0): [1]}
+    while states:
+        grown = {}
+        for (total, last, length), poly in states.items():
+            _add_into(by_size.setdefault((total, length), []), poly)
+            for part in range(1, cap - total + 1):
+                _add_into(grown.setdefault((total + part, part, length + 1), []), poly,
+                          int(part < last))
+        states = grown
+    return by_size
+
+
+def _dp_entries(by_size, k):
+    entries = {}
+    for (n, length), poly in by_size.items():
+        if k in (None, length):
+            for r, c in enumerate(poly):
+                if c:
+                    entries[(n, r)] = entries.get((n, r), 0) + c
+    return entries
+
+
+@pytest.mark.parametrize("k", [None, 1, 3, 12, LIMITS["table"]])
+def test_tables_match_integer_dps_at_the_limit(k):
+    cap = LIMITS["table"]
+    assert DistTable.inversions(cap, k).entries == _dp_entries(_inversion_dp(cap), k)
+    assert DistTable.descents(cap, k).entries == _dp_entries(_descent_dp(cap), k)
+
+
+def test_inversion_totals_match_the_integer_dp_at_the_limit():
+    # A189052 (by n) and A189073 (by n and k), past the b-files' n = 16
+    cap = LIMITS["table"]
+    by_n, by_nk = inversion_totals(cap)
+    weighted = {key: sum(r * c for r, c in enumerate(poly))
+                for key, poly in _inversion_dp(cap).items()}
+    assert by_nk == {(n, k): weighted.get((n, k), 0)
+                     for n in range(1, cap + 1) for k in range(1, n + 1)}
+    assert by_n == {n: sum(weighted.get((n, k), 0) for k in range(n + 1)) for n in range(cap + 1)}
 
 
 def test_dist_table_counts_and_rows():

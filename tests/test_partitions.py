@@ -139,11 +139,6 @@ def test_syt_count_q_values():
         syt_count_q(())
 
 
-def test_syt_count_q_other_variable():
-    assert syt_count_q((1, 1), "p") == Poly.variable("p")
-    assert syt_count_q((2, 1), "p").coeff(p=2) == 1
-
-
 def test_tableau_descents_and_major_index():
     tableau = ((1, 3, 4, 8), (2, 6, 9, 11), (5, 7), (10,))
     assert tableau_descents(tableau) == (1, 4, 6, 8, 9)

@@ -111,6 +111,36 @@ def test_rename_swap_and_collision():
         x.rename({"p": "q"})
 
 
+def test_rename_never_merges_two_occurring_variables():
+    for x in (p + q, p - q, p * q):
+        with pytest.raises(ValueError, match="rename sends both 'p' and 'q' to 't'"):
+            x.rename({"p": "t", "q": "t"})
+    assert (p ** 2 * q).rename({"p": "q", "q": "p"}) == p * q ** 2
+    # a variable that does not occur may be sent anywhere
+    assert (p * q).rename({"u": "p"}) == p * q
+    assert (p * q).rename({"p": "t", "u": "t"}) == t * q
+
+
+def test_unknown_variable_names_raise_value_error():
+    x = 1 + p * q
+    calls = [
+        lambda: x.degree("x"),
+        lambda: x.coefficients_in("x"),
+        lambda: x.eval_at_one("x"),
+        lambda: x.truncate({"x": 1}),
+        lambda: x.rename({"x": "p"}),
+        lambda: x.rename({"p": "x"}),
+        lambda: Poly.zero().degree("x"),
+        lambda: Series(x, "x", 2),
+        lambda: geometric_series({"p": 1}, "x", 3),
+        lambda: divexact(q, q, "x"),
+        lambda: divexact(p * q, q, "x"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown variable 'x'"):
+            call()
+
+
 def test_truncate():
     x = 1 + p + p ** 2 * q + p ** 3
     assert x.truncate({"p": 2}) == 1 + p + p ** 2 * q

@@ -207,19 +207,26 @@ def _check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
     return True, f"k 0..{max_k}, cap {cap}"
 
 
-def _check_foata(max_k: int) -> tuple[bool, str]:
-    from .permutations import (all_permutations, foata, foata_inverse, format_permutation,
-                               inverse_permutation)
-    from .statistics import descent_set, inversions, major_index
+def _inverse_descent_set(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """The descent set of the inverse of pi: i is in it when i + 1 stands left of i in pi."""
+    where = [0] * (len(pi) + 1)
+    for position, value in enumerate(pi):
+        where[value] = position
+    return tuple([i for i in range(1, len(pi)) if where[i] > where[i + 1]])
 
+
+def _check_foata(max_k: int) -> tuple[bool, str]:
+    from .permutations import all_permutations, foata, foata_inverse, format_permutation
+    from .statistics import inversions, major_index
+
+    # foata checks pi and foata_inverse checks the image: one validation per permutation
     for k in range(max_k + 1):
         for pi in all_permutations(k):
             image = foata(pi)
             maj, inv = major_index(pi), inversions(image)
             if maj != inv:
                 return False, f"pi={format_permutation(pi)}: maj {maj} != inv(foata) {inv}"
-            before = descent_set(inverse_permutation(pi))
-            after = descent_set(inverse_permutation(image))
+            before, after = _inverse_descent_set(pi), _inverse_descent_set(image)
             if before != after:
                 return False, (f"pi={format_permutation(pi)}: inverse descent set "
                                f"{before} became {after}")

@@ -16,9 +16,9 @@ import json
 import sys
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import count, islice, zip_longest
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
 from .partitions import b_statistic, hook_quotient, partitions_of
@@ -130,26 +130,38 @@ def _check_leading(k: int | None, cap: int) -> None:
         raise CapTooSmall(f"cap {cap} cannot hold the leading term of degree {k}")
 
 
-def _packed_rows(kernel, cap: int, k: int | None = None):
-    """Yield (n, j, the packed statistic polynomial of the j-compositions of n) for j <= n <= cap
-    and every j, or j = k only: x^j / (x)_j times the kernel K_j, sum_a P_j[n-j-a] K_j[a], with P_j
-    counting partitions into parts at most j.  K_j is cut at min(cap - j, C(j, 2)); C(j, 2) is its
-    degree, so a larger cut would only add cache keys.  Counts stay below 2^(cap-1) < 2^SLOT_BITS."""
+@lru_cache(maxsize=None)
+def _partition_table(cap: int) -> tuple[tuple[int, ...], ...]:
+    """Entry j lists the coefficients of 1/(x)_j up to x^cap, for j = 0..cap: entry m of it
+    counts the partitions of m into parts at most j."""
+    return tuple(map(tuple, islice(partition_counts(cap), cap + 1)))
+
+
+@lru_cache(maxsize=None)
+def _column(kernel, cap: int, j: int) -> tuple[int, ...]:
+    """The packed statistic polynomials of the j-compositions of n, for n = j..cap: x^j / (x)_j
+    times the kernel K_j, sum_a P_j[n-j-a] K_j[a], with P_j counting partitions into parts at
+    most j.  K_j is cut at min(cap - j, C(j, 2)); C(j, 2) is its degree, so a larger cut would
+    only add cache keys.  Counts stay below 2^(cap-1) < 2^SLOT_BITS."""
+    counts = _partition_table(cap)[j]
+    kern = kernel(j, min(cap - j, comb(j, 2)))
+    return tuple(sum(map(mul, counts[m::-1], kern)) for m in range(cap - j + 1))
+
+
+def _columns(kernel, cap: int, k: int | None = None):
+    """Yield (j, :func:`_column` j) for every j <= cap, or for j = k only."""
     check_size("table", "cap", cap)
     if k is not None:
         check_nonnegative("k", k)
-    for j, counts in zip(range(cap + 1 if k is None else min(k, cap) + 1), partition_counts(cap)):
-        if k in (None, j):
-            kern = kernel(j, min(cap - j, comb(j, 2)))
-            for n in range(j, cap + 1):
-                yield n, j, sum(map(mul, counts[n - j::-1], kern))
+    for j in range(cap + 1) if k is None else range(k, min(k, cap) + 1):
+        yield j, _column(kernel, cap, j)
 
 
 def _rows(kernel, cap: int, k: int | None) -> list[int]:
     """n -> the packed statistic polynomial of the (k-)compositions of n."""
     rows = [0] * (cap + 1)
-    for n, _, packed in _packed_rows(kernel, cap, k):
-        rows[n] += packed
+    for j, column in _columns(kernel, cap, k):
+        rows[j:] = map(add, rows[j:], column)
     return rows
 
 
@@ -261,14 +273,25 @@ def joint_gf(k: int, cap: int) -> Series:
                               ("p", "q", "t", "u", "v"))
 
 
+@lru_cache(maxsize=None)
+def _inversion_totals(cap: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]:
+    """The totals of :func:`inversion_totals`: the by-n values in order of n, and the
+    ((n, k), total) pairs."""
+    by_nk = tuple(((n, k), sum(map(mul, count(), unpack(packed))))
+                  for k, column in _columns(_hook_sum, cap) if k
+                  for n, packed in enumerate(column, start=k))
+    by_n = [0] * (cap + 1)
+    for (n, _), total in by_nk:
+        by_n[n] += total
+    return tuple(by_n), by_nk
+
+
 def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     """Total inversion counts, read off the k-part rows of :func:`inv_gf`: n -> inversions
     over all compositions of n (the sum of its k-part totals), and (n, k) -> inversions
     over all k-compositions of n (1 <= k <= n)."""
-    by_nk = {(n, k): sum(r * c for r, c in enumerate(unpack(packed)))
-             for n, k, packed in _packed_rows(_hook_sum, cap) if k}
-    by_n = {n: sum(by_nk[(n, k)] for k in range(1, n + 1)) for n in range(cap + 1)}
-    return by_n, by_nk
+    by_n, by_nk = _inversion_totals(cap)
+    return dict(enumerate(by_n)), dict(by_nk)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +419,11 @@ class DistTable:
     def max_r(self, n: int | None = None) -> int:
         """Largest r with a nonzero count, in row n or in the whole table; -1 if none."""
         if not hasattr(self, "_tops"):  # row -> its last nonzero r, built on the first read
-            object.__setattr__(self, "_tops", {m: r for (m, r), c in sorted(self.entries.items()) if c})
+            tops: dict[int, int] = {}
+            for (m, r), c in self.entries.items():
+                if c and r > tops.get(m, -1):
+                    tops[m] = r
+            object.__setattr__(self, "_tops", tops)
         return max(self._tops.values(), default=-1) if n is None else self._tops.get(n, -1)
 
     def row(self, n: int) -> list[int]:

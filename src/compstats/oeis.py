@@ -43,10 +43,9 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFile:
     rows: list[tuple[int, int]] = []
     previous: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        pieces = raw.split()
+        if not pieces or pieces[0][0] == "#":
             continue
-        pieces = line.split()
         if len(pieces) != 2:
             raise BFileParseError(
                 f"line {line_number}: expected 'index value', got {raw!r}")

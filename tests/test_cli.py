@@ -209,14 +209,14 @@ def test_verify_all_reports_every_suite(capsys):
     assert lines[5] == "ERROR jointstat: cap 4 cannot hold the leading term of degree 5"
 
 
-def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    from compstats import distributions, partitions
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
+    from compstats import partitions
 
     # hooks one too long leave (1 - q) / (1 - q^2) for the shape (1,): no polynomial
     hook_lengths = partitions.hook_lengths
     monkeypatch.setattr(partitions, "hook_lengths",
                         lambda shape: [[h + 1 for h in row] for row in hook_lengths(shape)])
-    distributions._hook_sum.cache_clear()  # a cached kernel would skip the hooks
+    clear_memos()  # a cached kernel or column would skip the hooks
     code, out, err = run(capsys, "table", "ic", "--max-n", "4")
     assert code == 3
     assert out == ""
@@ -240,6 +240,25 @@ def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "prod", "--k", "2", "--cap", "6")
     assert code == 1
     assert out.startswith("FAIL prod")
+
+
+def test_foata_check_validates_each_permutation_once(monkeypatch):
+    from math import factorial
+
+    from compstats import cli, permutations
+    from compstats.statistics import descent_set
+
+    for k in range(7):
+        for pi in permutations.all_permutations(k):
+            assert (cli._inverse_descent_set(pi)
+                    == descent_set(permutations.inverse_permutation(pi)))
+    checked = []
+    check = permutations.check_permutation
+    monkeypatch.setattr(permutations, "check_permutation",
+                        lambda pi: checked.append(1) or check(pi))
+    assert cli._check_foata(5) == (True, "S_k for k 0..5")
+    # foata(pi) checks pi and foata_inverse checks its image, nothing else
+    assert len(checked) == 2 * sum(factorial(k) for k in range(6))
 
 
 def test_verify_all_output_is_golden(capsys):

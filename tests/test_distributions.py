@@ -8,6 +8,7 @@ from compstats import partitions, qanalog
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
     DistTable,
+    _column,
     _hook_sum,
     _packed_poly,
     _q_eulerian_sum,
@@ -320,12 +321,14 @@ def test_verify_product_expansion():
     assert verify_product_expansion(2, 6)
 
 
-def test_hook_sum_has_one_cache():
-    # a repeated table, totals or hk call adds no _hook_sum miss
+def test_hook_sum_has_one_cache(clear_memos):
+    # a repeated table, totals or hk call adds no _hook_sum miss, even once the table
+    # memos are cleared and the columns are rebuilt from the kernels
     for call in (lambda: DistTable.inversions(9), lambda: DistTable.inversions(9, k=4),
                  lambda: inversion_totals(9), lambda: maj_inv_poly(5)):
         call()
         misses = _hook_sum.cache_info().misses
+        clear_memos(kernels=False)
         call()
         assert _hook_sum.cache_info().misses == misses
     # a kernel cut at C(k, 2) is the one maj_inv_poly(k) reads
@@ -336,7 +339,7 @@ def test_hook_sum_has_one_cache():
     assert _hook_sum.cache_info().misses == misses
 
 
-def test_packed_path_multiplies_no_polys(monkeypatch):
+def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):
     # tables and totals read the packed kernels; cold caches rebuild them too
     calls = []
     multiply = Poly.__mul__
@@ -347,12 +350,34 @@ def test_packed_path_multiplies_no_polys(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counting)
     monkeypatch.setattr(Poly, "__rmul__", counting)
-    for cached in (_hook_sum, _q_eulerian_sum):
-        cached.cache_clear()
+    clear_memos()
     DistTable.inversions(16)
     DistTable.descents(16)
     inversion_totals(16)
     assert calls == []
+
+
+def test_returned_tables_and_totals_are_fresh():
+    # the memos hold tuples; a caller that edits what it got changes no later result
+    for build in (lambda: DistTable.inversions(8).entries, lambda: DistTable.descents(8).entries,
+                  lambda: DistTable.inversions(8, k=3).entries, lambda: inversion_totals(8)[0],
+                  lambda: inversion_totals(8)[1]):
+        expected = dict(build())
+        mutated = build()
+        key = next(iter(mutated))
+        mutated[key] += 1
+        mutated[(99, 99)] = 1
+        assert build() == expected
+        del mutated[key]
+        assert build() == expected
+
+
+def test_cold_k_table_builds_one_column(clear_memos):
+    clear_memos()
+    DistTable.inversions(14, k=5)
+    assert _column.cache_info().misses == 1
+    assert _hook_sum.cache_info().currsize == 1
+    assert _q_eulerian_sum.cache_info().currsize == 0
 
 
 def test_full_kernels_stay_within_the_hk_limit():
@@ -460,16 +485,24 @@ def _dp_entries(by_size, k):
 
 
 @pytest.mark.parametrize("k", [None, 1, 3, 12, LIMITS["table"]])
-def test_tables_match_integer_dps_at_the_limit(k):
+def test_tables_match_integer_dps_at_the_limit(k, clear_memos):
+    # a cold read matches, and the warm read after it returns the same tables
     cap = LIMITS["table"]
-    assert DistTable.inversions(cap, k).entries == _dp_entries(_inversion_dp(cap), k)
-    assert DistTable.descents(cap, k).entries == _dp_entries(_descent_dp(cap), k)
+    clear_memos()
+    cold = DistTable.inversions(cap, k), DistTable.descents(cap, k)
+    assert cold[0].entries == _dp_entries(_inversion_dp(cap), k)
+    assert cold[1].entries == _dp_entries(_descent_dp(cap), k)
+    misses = _column.cache_info().misses
+    assert (DistTable.inversions(cap, k), DistTable.descents(cap, k)) == cold
+    assert _column.cache_info().misses == misses
 
 
-def test_inversion_totals_match_the_integer_dp_at_the_limit():
-    # A189052 (by n) and A189073 (by n and k), past the b-files' n = 16
+def test_inversion_totals_match_the_integer_dp_at_the_limit(clear_memos):
+    # A189052 (by n) and A189073 (by n and k), past the b-files' n = 16, cold and warm
     cap = LIMITS["table"]
+    clear_memos()
     by_n, by_nk = inversion_totals(cap)
+    assert inversion_totals(cap) == (by_n, by_nk)
     weighted = {key: sum(r * c for r, c in enumerate(poly))
                 for key, poly in _inversion_dp(cap).items()}
     assert by_nk == {(n, k): weighted.get((n, k), 0)

@@ -22,18 +22,20 @@ FIXTURES = Path(__file__).parent / "data" / "oeis"
 
 
 def test_parse_bfile_basic():
-    bfile = parse_bfile("# comment\n1 1\n2 2\n\n3 3\n", sequence_id="A000027")
+    # comments, blank and whitespace-only lines are skipped, indented or not
+    bfile = parse_bfile("# comment\n1 1\n  #2 9\n 2  2 \n\n \t\n#\n3\t3\n", sequence_id="A000027")
     assert bfile.sequence_id == "A000027"
     assert bfile.rows == ((1, 1), (2, 2), (3, 3))
 
 
 def test_parse_bfile_reports_line_numbers():
-    with pytest.raises(BFileParseError, match="line 2"):
-        parse_bfile("1 1\n2 two\n")
-    with pytest.raises(BFileParseError, match="line 3"):
-        parse_bfile("1 1\n2 2\n3 3 3\n")
-    with pytest.raises(BFileParseError, match="line 2"):
-        parse_bfile("5 1\n4 1\n")  # indices must increase
+    for text, message in (
+            ("1 1\n2 two\n", "line 2: non-integer field in '2 two'"),
+            ("1 1\n  # note\n\n3 3 3\n", "line 4: expected 'index value', got '3 3 3'"),
+            ("5 1\n\t4 1 \n", "line 2: index 4 does not increase past 5")):
+        with pytest.raises(BFileParseError) as exc:
+            parse_bfile(text)
+        assert str(exc.value) == message
 
 
 def test_load_bfile_derives_sequence_id():

@@ -1,9 +1,11 @@
 import json
+from itertools import zip_longest
 from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from compstats.compositions import compositions_of
 from compstats.distributions import SLOT_BITS, pack, unpack
 from compstats.errors import LIMITS, CapVarMismatch, InexactDivision, NonConvergent
 from compstats.polynomial import (
@@ -19,6 +21,7 @@ from compstats.polynomial import (
     t,
     v,
 )
+from compstats.qanalog import q_quotient
 
 
 @st.composite
@@ -308,6 +311,50 @@ def test_slots_hold_every_count_the_limits_allow():
     # an S_k polynomial at most k! permutations
     assert LIMITS["table"] < SLOT_BITS
     assert factorial(LIMITS["hk"]) < 2 ** SLOT_BITS
+
+
+def _descent_weights(cap):
+    """The weights W[s][j] of the packed descent kernel for s <= cap, rebuilt on plain integer
+    lists: W[s][j] = sum_c W[s-c][j-1] [s, c]_q, with [s, c]_q by the q-Pascal rule.  A table
+    at cap reads the kernel of k cut at q^(cap-k), which holds W[s][j] for s <= k, so only the
+    coefficients up to q^(cap-s) of W[s][j] are built."""
+    gauss, weights = [[1]], [[[1]]]
+    for s in range(1, cap + 1):
+        size = cap - s + 1
+        gauss = [[1]] + [[x + y for x, y in zip_longest(gauss[c - 1][:size],
+                                                          ([0] * c + gauss[c])[:size], fillvalue=0)]
+                         for c in range(1, s)] + [[1]]
+        row = [[]]
+        for j in range(1, s + 1):
+            acc = [0] * size
+            for c in range(1, s - j + 2):
+                for i, x in enumerate(weights[s - c][j - 1][:size]):
+                    for e, y in enumerate(gauss[c][:size - i], start=i):
+                        acc[e] += x * y
+            row.append(acc)
+        weights.append(row)
+    return weights
+
+
+def test_descent_kernel_weights_fit_a_slot_within_the_table_limit():
+    # the final counts are bounded above; the kernel's intermediate weights grow faster
+    weights = _descent_weights(51)
+    for s in range(1, 8):  # W[s][j] sums the q-multinomials of the j-compositions of s
+        for j in range(1, s + 1):
+            expected = [0] * (comb(s, 2) + 1)
+            for parts in compositions_of(s, j):
+                down = [b for m in parts for b in range(1, m + 1)]
+                for e, c in enumerate(q_quotient(range(1, s + 1), down)):
+                    expected[e] += c
+            assert weights[s][j] == (expected + [0] * 51)[:52 - s]
+
+    def largest(cap):
+        return max(c for s in range(cap + 1) for w in weights[s] for c in w[:cap - s + 1])
+
+    assert largest(LIMITS["table"]) < 2 ** SLOT_BITS
+    assert largest(24).bit_length() == 28
+    # the check has teeth: the same weights outgrow a slot at cap 51
+    assert largest(50) < 2 ** SLOT_BITS <= largest(51)
 
 
 def test_pack_unpack_round_trip():

@@ -27,7 +27,7 @@ _SOURCES = {
         ("compositions", "composition_stats compositions_of macmahon_forward "
                          "macmahon_inverse reversed_composition sorting_permutation"),
         ("distributions", "DistTable comaj_des_gf des_gf des_gf_total "
-                          "des_gf_total_rational inv_gf inv_gf_recurrence inv_gf_total "
+                          "des_gf_total_rational inv_gf inv_gf_total "
                           "inversion_totals joint_gf maj_inv_poly maj_inv_poly_carlitz "
                           "q_eulerian_poly verify_composition_count_identity "
                           "verify_product_expansion verify_q_eulerian_gf"),

@@ -377,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("oeis-check", help="compare computed values against an OEIS b-file")
     check.add_argument("--seq", required=True, help="sequence id, e.g. A189074")
-    check.add_argument("--bfile", help="path to a local b-file")
-    check.add_argument("--fetch", action="store_true",
-                       help="download the b-file from oeis.org instead")
+    source = check.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bfile", help="path to a local b-file")
+    source.add_argument("--fetch", action="store_true",
+                        help="download the b-file from oeis.org instead")
     check.add_argument("--max-n", type=int, default=16)
     check.set_defaults(func=cmd_oeis_check)
 
@@ -401,8 +402,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             bound("--k", args.k)
     elif args.command == "oeis-check":
         bound("--max-n", args.max_n)  # the library refuses one above its table limit
-        if not args.fetch and not args.bfile:
-            parser.error("provide --bfile PATH or --fetch")
     elif args.command == "verify":
         runs = SUITES if args.suite == "all" else {args.suite: SUITES[args.suite]}
         for option in ("k", "cap", "max_n"):

@@ -44,7 +44,6 @@ def unpack(packed: int) -> list[int]:
 # Closed forms over permutations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _hook_sum(k: int, max_p: int) -> tuple[int, ...]:
     """The hook sum of :func:`maj_inv_poly` cut at p^max_p, packed: entry a is the q-polynomial
     of p^a, the sum over shapes of f[a] pack(f) with f = syt_count_q(shape).  As f(p) =
@@ -67,7 +66,7 @@ def maj_inv_poly(k: int) -> Poly:
     tableau-counting polynomials; the constant 1 for k = 0.  k is capped at LIMITS["hk"].
     """
     check_size("hk", "k", k)
-    return _packed_poly(_hook_sum(k, comb(k, 2)), "p", "q")
+    return _poly(map(unpack, _hook_sum(k, comb(k, 2))), "p", "q")
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,6 @@ def maj_inv_poly_carlitz(k: int) -> Poly:
     return total
 
 
-@lru_cache(maxsize=None)
 def _q_eulerian_sum(k: int, max_q: int) -> tuple[int, ...]:
     """The partition sum of :func:`q_eulerian_poly` with every weight cut at q^max_q, packed:
     entry a is the t-polynomial of q^a.  A shape with j parts carries j!/prod m_i! times its
@@ -112,13 +110,13 @@ def q_eulerian_poly(k: int) -> Poly:
     q-multinomial weight; the negative intermediate terms cancel.  k is capped at LIMITS["hk"].
     """
     check_size("hk", "k", k)
-    return _packed_poly(_q_eulerian_sum(k, comb(k, 2)), "q", "t")
+    return _poly(map(unpack, _q_eulerian_sum(k, comb(k, 2))), "q", "t")
 
 
-def _packed_poly(rows, outer: str, inner: str) -> Poly:
-    """Packed rows as a Poly: rows[i] is the ``inner`` polynomial of outer^i."""
+def _poly(rows: Iterable[Iterable[int]], outer: str, inner: str) -> Poly:
+    """Coefficient rows as a Poly: rows[i] lists the ``inner`` polynomial of outer^i."""
     return Poly({monomial_key({outer: i, inner: r}): c
-                 for i, packed in enumerate(rows) for r, c in enumerate(unpack(packed))})
+                 for i, row in enumerate(rows) for r, c in enumerate(row)})
 
 
 # ---------------------------------------------------------------------------
@@ -131,62 +129,32 @@ def _check_leading(k: int | None, cap: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _partition_table(cap: int) -> tuple[tuple[int, ...], ...]:
-    """Entry j lists the coefficients of 1/(x)_j up to x^cap, for j = 0..cap: entry m of it
-    counts the partitions of m into parts at most j."""
-    return tuple(map(tuple, islice(partition_counts(cap), cap + 1)))
-
-
-@lru_cache(maxsize=None)
-def _column(kernel, cap: int, j: int) -> tuple[int, ...]:
-    """The packed statistic polynomials of the j-compositions of n, for n = j..cap: x^j / (x)_j
-    times the kernel K_j, sum_a P_j[n-j-a] K_j[a], with P_j counting partitions into parts at
-    most j.  K_j is cut at min(cap - j, C(j, 2)); C(j, 2) is its degree, so a larger cut would
-    only add cache keys.  Counts stay below 2^(cap-1) < 2^SLOT_BITS."""
-    counts = _partition_table(cap)[j]
-    kern = kernel(j, min(cap - j, comb(j, 2)))
-    return tuple(sum(map(mul, counts[m::-1], kern)) for m in range(cap - j + 1))
-
-
-def _columns(kernel, cap: int, k: int | None = None):
-    """Yield (j, :func:`_column` j) for every j <= cap, or for j = k only."""
+def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
+    """Row n lists the counts of the (k-)compositions of n by the kernel's statistic r, up to
+    the last nonzero one.  The j-compositions contribute x^j / (x)_j times the kernel K_j:
+    sum_a P_j[n-j-a] K_j[a] at n, with P_j counting partitions into parts at most j.  K_j is
+    cut at min(cap - j, C(j, 2)); C(j, 2) is its degree.  Packed counts stay below
+    2^(cap-1) < 2^SLOT_BITS.  The rows are shared: callers read them, never copy them."""
     check_size("table", "cap", cap)
     if k is not None:
         check_nonnegative("k", k)
-    for j in range(cap + 1) if k is None else range(k, min(k, cap) + 1):
-        yield j, _column(kernel, cap, j)
-
-
-def _rows(kernel, cap: int, k: int | None) -> list[int]:
-    """n -> the packed statistic polynomial of the (k-)compositions of n."""
     rows = [0] * (cap + 1)
-    for j, column in _columns(kernel, cap, k):
-        rows[j:] = map(add, rows[j:], column)
-    return rows
+    for j, counts in enumerate(islice(partition_counts(cap), cap + 1)):
+        if k in (None, j):
+            kern = kernel(j, min(cap - j, comb(j, 2)))
+            rows[j:] = map(add, rows[j:], (sum(map(mul, counts[m::-1], kern))
+                                           for m in range(cap - j + 1)))
+    return tuple(map(tuple, map(unpack, rows)))
 
 
 def _series(kernel, size_var: str, stat_var: str, cap: int, k: int | None = None) -> Series:
     _check_leading(k, cap)
-    return Series(_packed_poly(_rows(kernel, cap, k), size_var, stat_var), size_var, cap)
+    return Series(_poly(_counts(kernel, cap, k), size_var, stat_var), size_var, cap)
 
 
 def inv_gf(k: int, cap: int) -> Series:
     """Series in p, exact in q: coefficient of p^n q^r counts k-compositions of n with r inversions."""
     return _series(_hook_sum, "p", "q", cap, k)
-
-
-def inv_gf_recurrence(k: int, cap: int) -> Series:
-    """Same series as :func:`inv_gf`, computed by the Gaussian-binomial recurrence."""
-    check_nonnegative("k", k)
-    _check_leading(k, cap)
-    memo: list[Series] = [Series.one("p", cap)]
-    for m in range(1, k + 1):
-        acc = Series(Poly.zero(), "p", cap)
-        for j in range(m):
-            acc = acc + gaussian_binomial(m, j) * memo[j]
-        lead = geometric_series({"p": m}, "p", cap) * Poly.variable("p", m)
-        memo.append(lead * acc)
-    return memo[k]
 
 
 def inv_gf_total(cap: int) -> Series:
@@ -277,9 +245,10 @@ def joint_gf(k: int, cap: int) -> Series:
 def _inversion_totals(cap: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]:
     """The totals of :func:`inversion_totals`: the by-n values in order of n, and the
     ((n, k), total) pairs."""
-    by_nk = tuple(((n, k), sum(map(mul, count(), unpack(packed))))
-                  for k, column in _columns(_hook_sum, cap) if k
-                  for n, packed in enumerate(column, start=k))
+    check_size("table", "cap", cap)
+    by_nk = tuple(((n, k), sum(map(mul, count(), row)))
+                  for k in range(1, cap + 1)
+                  for n, row in enumerate(_counts(_hook_sum, cap, k)[k:], start=k))
     by_n = [0] * (cap + 1)
     for (n, _), total in by_nk:
         by_n[n] += total
@@ -370,19 +339,20 @@ def verify_composition_count_identity(k: int, cap: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class DistTable:
-    """Triangle of counts: (n, r) -> number of compositions of n with r
-    inversions (ic kinds) or r descents (dc kinds), optionally for a fixed
-    part count k (all zero when k exceeds the cap).
+    """Triangle of counts: rows[n][r] is the number of compositions of n with r
+    inversions (ic kinds) or r descents (dc kinds), optionally for a fixed part
+    count k (all zero when k exceeds the cap).  Row n = 0..cap runs to its last
+    nonzero count, so an all-zero row is empty; reads outside the rows give 0.
 
-    Immutable; equal when all four fields are equal; the repr omits ``entries``.
+    Immutable; equal when all four fields are equal; the repr omits ``rows``.
     """
 
-    _FIELDS = ("kind", "cap", "k", "entries")
-    __slots__ = (*_FIELDS, "_tops")
+    _FIELDS = ("kind", "cap", "k", "rows")
+    __slots__ = _FIELDS
 
     def __init__(self, kind: str, cap: int, k: int | None,
-                 entries: dict[tuple[int, int], int]) -> None:
-        for name, value in zip(self._FIELDS, (kind, cap, k, entries)):
+                 rows: tuple[tuple[int, ...], ...]) -> None:
+        for name, value in zip(self._FIELDS, (kind, cap, k, rows)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -409,43 +379,37 @@ class DistTable:
 
     @classmethod
     def _read(cls, kind: str, kernel, cap: int, k: int | None) -> DistTable:
-        entries = {(n, r): c for n, packed in enumerate(_rows(kernel, cap, k))
-                   for r, c in enumerate(unpack(packed)) if c}
-        return cls(kind=f"{kind}_n" if k is None else f"{kind}_nk", cap=cap, k=k, entries=entries)
+        # every k above the cap reads the one all-zero table, so the memo keys stay bounded
+        rows = _counts(kernel, cap, k if k is None else min(k, cap + 1))
+        return cls(kind=f"{kind}_n" if k is None else f"{kind}_nk", cap=cap, k=k, rows=rows)
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        return self.rows[n] if 0 <= n < len(self.rows) else ()
 
     def count(self, n: int, r: int) -> int:
-        return self.entries.get((n, r), 0)
+        row = self._row(n)
+        return row[r] if 0 <= r < len(row) else 0
 
     def max_r(self, n: int | None = None) -> int:
         """Largest r with a nonzero count, in row n or in the whole table; -1 if none."""
-        if not hasattr(self, "_tops"):  # row -> its last nonzero r, built on the first read
-            tops: dict[int, int] = {}
-            for (m, r), c in self.entries.items():
-                if c and r > tops.get(m, -1):
-                    tops[m] = r
-            object.__setattr__(self, "_tops", tops)
-        return max(self._tops.values(), default=-1) if n is None else self._tops.get(n, -1)
+        return (max(map(len, self.rows), default=0) if n is None else len(self._row(n))) - 1
 
     def row(self, n: int) -> list[int]:
         """Counts for r = 0 .. last nonzero r of row n (at least one value)."""
-        top = max(self.max_r(n), 0)
-        return [self.entries.get((n, r), 0) for r in range(top + 1)]
+        return list(self._row(n)) or [0]
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return [(n, r, self.entries[(n, r)]) for n, r in sorted(self.entries)]
+        """(n, r, count) for every nonzero count, in order of n, then r."""
+        return [(n, r, c) for n, row in enumerate(self.rows) for r, c in enumerate(row) if c]
 
     def to_csv(self, dense: bool = False) -> str:
         """CSV with header n,r,count; ``dense`` pads every row with explicit zeros."""
-        lines = ["n,r,count"]
         if dense:
-            top = max(self.max_r(), 0)
-            for n in range(self.cap + 1):
-                for r in range(top + 1):
-                    lines.append(f"{n},{r},{self.count(n, r)}")
+            width = max(self.max_r(), 0) + 1
+            entries = [(n, r, self.count(n, r)) for n in range(self.cap + 1) for r in range(width)]
         else:
-            for n, r, count in self.sorted_entries():
-                lines.append(f"{n},{r},{count}")
-        return "\n".join(lines) + "\n"
+            entries = self.sorted_entries()
+        return "n,r,count\n" + "".join(f"{n},{r},{c}\n" for n, r, c in entries)
 
     def to_json_obj(self) -> dict:
         return {

@@ -5,14 +5,11 @@ from compstats import distributions
 
 @pytest.fixture
 def clear_memos():
-    """clear(kernels=True) empties the memoised partition counts, table columns and inversion
-    totals, and with ``kernels`` the hook and q-Eulerian kernels too, so that the next table
-    or totals call runs the path a test names instead of reading what an earlier test cached."""
-    def clear(kernels: bool = True) -> None:
-        memos = [distributions._partition_table, distributions._column,
-                 distributions._inversion_totals]
-        if kernels:
-            memos += [distributions._hook_sum, distributions._q_eulerian_sum]
-        for memo in memos:
-            memo.cache_clear()
+    """clear() empties every lru_cache that compstats.distributions defines, so that the next
+    table, series or totals call runs the path a test names instead of reading what an earlier
+    test cached.  The memos are found by introspection, so a renamed or added one is cleared too."""
+    def clear() -> None:
+        for value in vars(distributions).values():
+            if hasattr(value, "cache_clear") and value.__module__ == distributions.__name__:
+                value.cache_clear()
     return clear

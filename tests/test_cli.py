@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -216,7 +217,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
     hook_lengths = partitions.hook_lengths
     monkeypatch.setattr(partitions, "hook_lengths",
                         lambda shape: [[h + 1 for h in row] for row in hook_lengths(shape)])
-    clear_memos()  # a cached kernel or column would skip the hooks
+    clear_memos()  # a memoised table would skip the hooks
     code, out, err = run(capsys, "table", "ic", "--max-n", "4")
     assert code == 3
     assert out == ""
@@ -409,7 +410,17 @@ def test_oeis_check_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_oeis_check_requires_source(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oeis-check", "--seq", "A189074"])
-    assert exc.value.code == 2
+def test_oeis_check_requires_source(capsys, monkeypatch):
+    # exactly one of --bfile and --fetch; a usage error is reported before any download
+    def no_network(*args, **kwargs):
+        raise AssertionError("oeis-check went to the network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    bfile = str(DATA / "oeis" / "b189074.txt")
+    for source in ([], ["--bfile", bfile, "--fetch"], ["--fetch", "--bfile", bfile]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-check", "--seq", "A189074", *source])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: compstats oeis-check")
+        assert "--bfile" in err.splitlines()[-1] and "--fetch" in err.splitlines()[-1]

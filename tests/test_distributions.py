@@ -4,26 +4,25 @@ from math import comb, factorial
 
 import pytest
 
-from compstats import partitions, qanalog
+from compstats import distributions, partitions, qanalog
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
     DistTable,
-    _column,
     _hook_sum,
-    _packed_poly,
+    _poly,
     _q_eulerian_sum,
     comaj_des_gf,
     des_gf,
     des_gf_total,
     des_gf_total_rational,
     inv_gf,
-    inv_gf_recurrence,
     inv_gf_total,
     inversion_totals,
     joint_gf,
     maj_inv_poly,
     maj_inv_poly_carlitz,
     q_eulerian_poly,
+    unpack,
     verify_composition_count_identity,
     verify_product_expansion,
     verify_q_eulerian_gf,
@@ -31,7 +30,7 @@ from compstats.distributions import (
 from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
 from compstats.partitions import partitions_of, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
-from compstats.polynomial import Poly, Series, p, q, t
+from compstats.polynomial import Poly, Series, monomial_key, p, q, t
 from compstats.qanalog import _gauss, gaussian_binomial, pochhammer_inverse_series, q_factorial
 
 # the displayed small polynomials, frozen term for term
@@ -121,7 +120,7 @@ def test_q_eulerian_sum_cut_is_exact_truncation():
     for k in range(9):
         exact = q_eulerian_poly(k)
         for max_q in range(comb(k, 2) + 1):
-            cut = _packed_poly(_q_eulerian_sum(k, max_q), "q", "t")
+            cut = _poly(map(unpack, _q_eulerian_sum(k, max_q)), "q", "t")
             assert cut == exact.truncate({"q": max_q})
 
 
@@ -129,7 +128,7 @@ def test_hook_sum_cut_is_exact_truncation():
     for k in range(9):
         exact = maj_inv_poly(k)
         for max_p in range(comb(k, 2) + 1):
-            assert _packed_poly(_hook_sum(k, max_p), "p", "q") == exact.truncate({"p": max_p})
+            assert _poly(map(unpack, _hook_sum(k, max_p)), "p", "q") == exact.truncate({"p": max_p})
 
 
 def test_q_eulerian_coefficients_nonnegative():
@@ -149,14 +148,6 @@ def test_inv_gf_small():
 def test_inv_gf_cap_too_small():
     with pytest.raises(CapTooSmall):
         inv_gf(4, 3)
-    with pytest.raises(CapTooSmall):
-        inv_gf_recurrence(4, 3)
-
-
-def test_inv_gf_recurrence_matches_closed_form():
-    assert inv_gf_recurrence(0, 5) == inv_gf(0, 5)
-    assert inv_gf_recurrence(2, 6) == inv_gf(2, 6)
-    assert inv_gf_recurrence(4, 10) == inv_gf(4, 10)
 
 
 def test_inv_gf_against_brute_force():
@@ -184,20 +175,11 @@ def test_inv_gf_total_equals_sum_over_k():
     assert acc == total
 
 
-def test_inv_gf_total_matches_recurrence_past_enumeration():
-    # the Gaussian-binomial recurrence shares no code with the hook sum
-    cap = 18
-    acc = Series.one("p", cap)
-    for k in range(1, cap + 1):
-        acc = acc + inv_gf_recurrence(k, cap)
-    assert inv_gf_total(cap) == acc
-
-
 def test_cross_checks_never_reach_the_q_quotient(monkeypatch):
     # the routes the hook and q-multinomial closed forms are checked against must not
     # share their one routine: break it, and the cross-checks still give the same values
     before = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
-              inv_gf_recurrence(4, 10), maj_inv_poly_carlitz(6))
+              maj_inv_poly_carlitz(6))
 
     def broken(*args):
         raise AssertionError("a cross-check called q_quotient")
@@ -207,7 +189,7 @@ def test_cross_checks_never_reach_the_q_quotient(monkeypatch):
     _gauss.cache_clear()
     maj_inv_poly_carlitz.cache_clear()
     after = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
-             inv_gf_recurrence(4, 10), maj_inv_poly_carlitz(6))
+             maj_inv_poly_carlitz(6))
     assert after == before
 
 
@@ -321,22 +303,55 @@ def test_verify_product_expansion():
     assert verify_product_expansion(2, 6)
 
 
-def test_hook_sum_has_one_cache(clear_memos):
-    # a repeated table, totals or hk call adds no _hook_sum miss, even once the table
-    # memos are cleared and the columns are rebuilt from the kernels
-    for call in (lambda: DistTable.inversions(9), lambda: DistTable.inversions(9, k=4),
-                 lambda: inversion_totals(9), lambda: maj_inv_poly(5)):
-        call()
-        misses = _hook_sum.cache_info().misses
-        clear_memos(kernels=False)
-        call()
-        assert _hook_sum.cache_info().misses == misses
-    # a kernel cut at C(k, 2) is the one maj_inv_poly(k) reads
-    DistTable.inversions(10)
-    misses = _hook_sum.cache_info().misses
-    for k in range(1, 5):
-        maj_inv_poly(k)
-    assert _hook_sum.cache_info().misses == misses
+@pytest.fixture
+def kernel_calls(monkeypatch, clear_memos):
+    """Empty memos, and both kernels wrapped to log each call as (kind, k)."""
+    calls = []
+
+    def logged(kind, kernel):
+        def wrapper(k, cut):
+            calls.append((kind, k))
+            return kernel(k, cut)
+        return wrapper
+
+    monkeypatch.setattr(distributions, "_hook_sum", logged("ic", _hook_sum))
+    monkeypatch.setattr(distributions, "_q_eulerian_sum", logged("dc", _q_eulerian_sum))
+    clear_memos()
+    return calls
+
+
+def test_a_cold_read_builds_each_kernel_it_needs_once(kernel_calls):
+    DistTable.inversions(14, k=5)
+    assert kernel_calls == [("ic", 5)]
+    kernel_calls.clear()
+    DistTable.descents(9)
+    assert kernel_calls == [("dc", k) for k in range(10)]
+    kernel_calls.clear()
+    inversion_totals(9)
+    assert kernel_calls == [("ic", k) for k in range(1, 10)]
+
+
+def test_a_repeated_read_builds_no_kernel(kernel_calls):
+    for read in (lambda: DistTable.inversions(9), lambda: DistTable.descents(9, k=4),
+                 lambda: DistTable.inversions(9, k=40), lambda: inv_gf(3, 9),
+                 lambda: inv_gf_total(9), lambda: des_gf(4, 9), lambda: des_gf_total(9),
+                 lambda: inversion_totals(9)):
+        first = read()
+        calls = len(kernel_calls)
+        assert read() == first
+        assert len(kernel_calls) == calls
+
+
+def test_tables_above_the_cap_add_one_memo_entry(clear_memos):
+    # every part count above the cap reads the same all-zero table, so the memos stay bounded
+    def memo_entries():
+        return sum(value.cache_info().currsize for value in vars(distributions).values()
+                   if hasattr(value, "cache_info") and value.__module__ == distributions.__name__)
+
+    clear_memos()
+    for k in range(13, 1001):
+        assert DistTable.inversions(12, k=k).rows == ((),) * 13
+    assert memo_entries() <= 1
 
 
 def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):
@@ -358,10 +373,12 @@ def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):
 
 
 def test_returned_tables_and_totals_are_fresh():
-    # the memos hold tuples; a caller that edits what it got changes no later result
-    for build in (lambda: DistTable.inversions(8).entries, lambda: DistTable.descents(8).entries,
-                  lambda: DistTable.inversions(8, k=3).entries, lambda: inversion_totals(8)[0],
-                  lambda: inversion_totals(8)[1]):
+    # a table shares the memo's rows, so they are tuples; every totals call builds new dicts,
+    # so a caller that edits what it got changes no later result
+    for table in (DistTable.inversions(8), DistTable.descents(8), DistTable.inversions(8, k=3)):
+        assert type(table.rows) is tuple
+        assert all(type(row) is tuple for row in table.rows)
+    for build in (lambda: inversion_totals(8)[0], lambda: inversion_totals(8)[1]):
         expected = dict(build())
         mutated = build()
         key = next(iter(mutated))
@@ -370,14 +387,6 @@ def test_returned_tables_and_totals_are_fresh():
         assert build() == expected
         del mutated[key]
         assert build() == expected
-
-
-def test_cold_k_table_builds_one_column(clear_memos):
-    clear_memos()
-    DistTable.inversions(14, k=5)
-    assert _column.cache_info().misses == 1
-    assert _hook_sum.cache_info().currsize == 1
-    assert _q_eulerian_sum.cache_info().currsize == 0
 
 
 def test_full_kernels_stay_within_the_hk_limit():
@@ -405,11 +414,13 @@ def test_verify_composition_count_identity():
 def check_table_invariants(table: DistTable) -> None:
     """Known kind, nonnegative counts, and row sums 2^(n-1) for the all-k kinds."""
     assert table.kind in ("ic_n", "ic_nk", "dc_n", "dc_nk")
-    for (n, r), count in table.entries.items():
-        assert count >= 0, f"negative count {count} at (n={n}, r={r})"
+    assert len(table.rows) == table.cap + 1
+    for n, row in enumerate(table.rows):
+        assert not row or row[-1], f"row {n} ends in a zero"
+        assert min(row, default=0) >= 0, f"negative count in row {n}"
     if table.kind in ("ic_n", "dc_n"):
         for n in range(1, table.cap + 1):
-            total = sum(c for (row_n, _), c in table.entries.items() if row_n == n)
+            total = sum(table.rows[n])
             assert total == 2 ** (n - 1), f"row {n} sums to {total}, expected {2 ** (n - 1)}"
 
 
@@ -484,17 +495,23 @@ def _dp_entries(by_size, k):
     return entries
 
 
+def _dp_series(entries, size_var, stat_var, cap):
+    return Series(Poly({monomial_key({size_var: n, stat_var: r}): c for (n, r), c in entries.items()}),
+                  size_var, cap)
+
+
 @pytest.mark.parametrize("k", [None, 1, 3, 12, LIMITS["table"]])
 def test_tables_match_integer_dps_at_the_limit(k, clear_memos):
-    # a cold read matches, and the warm read after it returns the same tables
+    # a cold read matches, the warm read after it returns the same tables, and the series
+    # hold the same counts
     cap = LIMITS["table"]
     clear_memos()
+    inversions, descents = _dp_entries(_inversion_dp(cap), k), _dp_entries(_descent_dp(cap), k)
     cold = DistTable.inversions(cap, k), DistTable.descents(cap, k)
-    assert cold[0].entries == _dp_entries(_inversion_dp(cap), k)
-    assert cold[1].entries == _dp_entries(_descent_dp(cap), k)
-    misses = _column.cache_info().misses
+    assert [{(n, r): c for n, r, c in table.sorted_entries()} for table in cold] == [inversions, descents]
     assert (DistTable.inversions(cap, k), DistTable.descents(cap, k)) == cold
-    assert _column.cache_info().misses == misses
+    series = (inv_gf_total(cap), des_gf_total(cap)) if k is None else (inv_gf(k, cap), des_gf(k, cap))
+    assert series == (_dp_series(inversions, "p", "q", cap), _dp_series(descents, "q", "t", cap))
 
 
 def test_inversion_totals_match_the_integer_dp_at_the_limit(clear_memos):
@@ -519,6 +536,20 @@ def test_dist_table_counts_and_rows():
     check_table_invariants(table)
 
 
+def test_dist_table_reads_outside_the_triangle_are_zero():
+    # a negative or past-the-end index reads 0; it never wraps into the rows
+    table = DistTable.inversions(5)
+    assert table.row(3) == [3, 1]
+    for n, r in ((-1, 0), (-6, 0), (0, -1), (3, -1), (3, -2), (3, 2), (0, 1), (6, 0), (99, 2)):
+        assert table.count(n, r) == 0, (n, r)
+    for n in (-1, -6, 6, 99):
+        assert table.row(n) == [0]
+        assert table.max_r(n) == -1
+    for table in (DistTable.inversions(3, k=5), DistTable.descents(3, k=4)):
+        assert table.max_r() == -1
+        assert table.to_csv(dense=True) == "n,r,count\n0,0,0\n1,0,0\n2,0,0\n3,0,0\n"
+
+
 def test_dist_table_fixed_k():
     table = DistTable.inversions(6, k=2)
     assert table.kind == "ic_nk"
@@ -538,7 +569,7 @@ def test_dist_table_more_parts_than_cap_is_all_zero():
     for table, kind in ((DistTable.inversions(3, k=5), "ic_nk"),
                         (DistTable.descents(3, k=4), "dc_nk")):
         assert (table.kind, table.cap) == (kind, 3)
-        assert table.entries == {}
+        assert table.rows == ((),) * 4
         assert table.row(3) == [0]
 
 
@@ -561,7 +592,6 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
                        (lambda: inversion_totals(-1), "cap"),
                        (lambda: joint_gf(-1, 4), "k"),
                        (lambda: comaj_des_gf(-1, 4), "k"),
-                       (lambda: inv_gf_recurrence(-1, 5), "k"),
                        (lambda: maj_inv_poly_carlitz(-1), "k"),
                        (lambda: verify_composition_count_identity(-1, 5), "k"),
                        (lambda: pochhammer_inverse_series(-1, "q", 5), "n"),
@@ -585,25 +615,26 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
 
 
 def test_dist_table_rows_of_a_given_table():
-    entries = {(0, 0): 1, (2, 0): 1, (2, 3): 4, (2, 5): 0, (3, 1): 2}
-    table = DistTable("ic_n", 3, None, entries)
+    rows = ((1,), (), (1, 0, 0, 4), (0, 2))
+    table = DistTable("ic_n", 3, None, rows)
     assert [table.row(n) for n in range(4)] == [[1], [0], [1, 0, 0, 4], [0, 2]]
     assert [table.max_r(n) for n in range(4)] == [0, -1, 3, 1]
     assert table.max_r() == 3
-    assert table == DistTable("ic_n", 3, None, dict(entries))
+    assert table.sorted_entries() == [(0, 0, 1), (2, 0, 1), (2, 3, 4), (3, 1, 2)]
+    assert table == DistTable("ic_n", 3, None, ((1,), (), (1, 0, 0, 4), (0, 2)))
 
 
 def test_dist_table_is_an_immutable_value():
     table = DistTable.inversions(4)
-    assert table == DistTable("ic_n", 4, None, dict(table.entries))
+    assert table == DistTable("ic_n", 4, None, table.rows)
     assert table != DistTable.inversions(4, k=2)
-    assert table != DistTable("dc_n", 4, None, table.entries)
-    assert table != ("ic_n", 4, None, table.entries)
+    assert table != DistTable("dc_n", 4, None, table.rows)
+    assert table != ("ic_n", 4, None, table.rows)
     assert repr(table) == "DistTable(kind='ic_n', cap=4, k=None)"
     with pytest.raises(AttributeError):
         table.cap = 5
     with pytest.raises(AttributeError):
-        del table.entries
+        del table.rows
     with pytest.raises(TypeError):
         hash(table)
 

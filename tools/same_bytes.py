@@ -1,0 +1,89 @@
+"""Print one SHA-256 over a fixed set of compstats outputs, to show a refactor kept the bytes.
+
+Runs a fixed list of ``compstats`` CLI calls in this process and hashes each
+call's argv, exit code, stdout and stderr, then the reprs of the series and
+totals the library returns:
+
+- ``table ic|dc --max-n N`` for N in 0..16, 20 and 24, without ``--k`` and
+  with every k in 0..N+1, in grid, csv, dense csv and json;
+- ``hk 0..8``, ``hk 5 --format json``, ``verify --suite all``,
+  ``bij 4,2,1,2,1,5,3`` and ``table ic --max-n 25`` (a usage error);
+- ``oeis-check`` on the five fixture b-files at ``--max-n`` 0, 1, 5, 12 and 16;
+- ``inv_gf``, ``inv_gf_total``, ``des_gf``, ``des_gf_total`` and
+  ``inversion_totals`` at caps 0, 5, 12, 16 and 24, every k in 0..cap.
+
+    python3 tools/same_bytes.py
+
+It imports the package from the ``src`` directory next to it, and hashes the
+fixture paths relative to the checkout, so a copy of this script placed in
+another checkout hashes that checkout's code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "data" / "oeis"
+SEQUENCES = ("A189052", "A189073", "A189074", "A238343", "A238344")
+TABLE_SIZES = (*range(17), 20, 24)
+TABLE_FORMATS = (["--format", "grid"], ["--format", "csv"], ["--format", "csv", "--dense"],
+                 ["--format", "json"])
+SERIES_CAPS = (0, 5, 12, 16, 24)
+
+
+def calls() -> list[list[str]]:
+    tables = [["table", kind, "--max-n", str(n), *k, *fmt]
+              for kind in ("ic", "dc") for n in TABLE_SIZES
+              for k in ([], *(["--k", str(k)] for k in range(n + 2)))
+              for fmt in TABLE_FORMATS]
+    fixed = ([["hk", str(k)] for k in range(9)]
+             + [["hk", "5", "--format", "json"], ["verify", "--suite", "all"],
+                ["bij", "4,2,1,2,1,5,3"], ["table", "ic", "--max-n", "25"]])
+    oeis = [["oeis-check", "--seq", seq, "--bfile",
+             str((FIXTURES / f"b{seq[1:]}.txt").relative_to(ROOT)), "--max-n", str(n)]
+            for seq in SEQUENCES for n in (0, 1, 5, 12, 16)]
+    return tables + fixed + oeis
+
+
+def run(cli, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call; paths resolve under ROOT."""
+    resolved = [str(ROOT / arg) if arg.startswith("tests/") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(resolved)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def library_values(distributions):
+    for cap in SERIES_CAPS:
+        for k in range(cap + 1):
+            yield distributions.inv_gf(k, cap)
+            yield distributions.des_gf(k, cap)
+        yield distributions.inv_gf_total(cap)
+        yield distributions.des_gf_total(cap)
+        yield distributions.inversion_totals(cap)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from compstats import cli, distributions
+
+    digest = hashlib.sha256()
+    for argv in calls():
+        digest.update(repr((argv, *run(cli, argv))).encode() + b"\n")
+    for value in library_values(distributions):
+        digest.update(repr(value).encode() + b"\n")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,7 @@ from math import comb
 from operator import add, mul
 
 from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
-from .partitions import b_statistic, hook_quotient, partitions_of
+from .partitions import hook_quotient, partitions_of
 from .polynomial import Poly, Series, divexact, geometric_series, monomial_key
 from .qanalog import gaussian_binomial, partition_counts, pochhammer_inverse_series, q_factorial
 
@@ -47,15 +47,22 @@ def unpack(packed: int) -> list[int]:
 def _hook_sum(k: int, max_p: int) -> tuple[int, ...]:
     """The hook sum of :func:`maj_inv_poly` cut at p^max_p, packed: entry a is the q-polynomial
     of p^a, the sum over shapes of f[a] pack(f) with f = syt_count_q(shape).  As f(p) =
-    p^b(shape) (1 + ...), shapes with b(shape) > max_p are skipped."""
+    p^b(shape) (1 + ...), only the shapes with b(shape) <= max_p count.  Each shape of k >= 1 is
+    (k - m, mu) with mu a partition of m < k and mu_1 <= k - m, and b = m + b(mu) >= m, so the
+    walk lists the partitions of m <= min(k - 1, max_p) only."""
+    if k == 0:
+        return (1,)
     kernel = [0] * (max_p + 1)
-    for shape in partitions_of(k):
-        b = b_statistic(shape)
-        if b <= max_p:
-            f = hook_quotient(shape) if shape else [1]
-            packed = pack(f) << (SLOT_BITS * b)
-            for a, c in enumerate(f[:max_p - b + 1], start=b):
-                kernel[a] += c * packed
+    for m in range(min(k - 1, max_p) + 1):
+        for mu in partitions_of(m):
+            if mu and mu[0] > k - m:
+                continue
+            b = sum(i * part for i, part in enumerate(mu, start=1))  # m + b(mu)
+            if b <= max_p:
+                f = hook_quotient((k - m, *mu))
+                packed = pack(f) << (SLOT_BITS * b)
+                for a, c in enumerate(f[:max_p - b + 1], start=b):
+                    kernel[a] += c * packed
     return tuple(kernel)
 
 
@@ -71,8 +78,8 @@ def maj_inv_poly(k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def maj_inv_poly_carlitz(k: int) -> Poly:
-    """The same polynomial as :func:`maj_inv_poly`, via the Carlitz recurrence."""
-    check_nonnegative("k", k)
+    """The same polynomial as :func:`maj_inv_poly`, via the Carlitz recurrence; k has its limit."""
+    check_size("hk", "k", k)
     if k == 0:
         return Poly.one()
     total = Poly.zero()
@@ -183,8 +190,9 @@ def des_gf_total_rational(cap: int) -> Series:
 
     Assembles the denominator D(q, t) = sum_j q^C(j+1,2) (t-1)^j / (q)_j - t
     as a truncated series and solves D * X = 1 - t for X; the constant
-    q-coefficient of D must be exactly 1 - t for the solve to start.
+    q-coefficient of D must be exactly 1 - t for the solve to start; cap has des_gf_total's limit.
     """
+    check_size("table", "cap", cap)
     t_var = Poly.variable("t")
     denominator = Series(-t_var, "q", cap)
     j = 0

@@ -66,8 +66,9 @@ class NetworkUnavailable(RuntimeError):
 # the largest size each enumeration or closed form accepts, by limit name; the
 # library enforces these through check_size and the CLI bounds read them too
 LIMITS = {
-    "table": 24,          # DistTable, inversion_totals, verify --cap, genfuncid --k
-    "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler
+    "table": 24,          # DistTable, inversion_totals, des_gf_total_rational, verify --cap,
+                          # genfuncid --k
+    "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler; maj_inv_poly_carlitz
     "joint": 7,           # joint_gf and verify jointstat, foata, equidist --k
     "comaj_des": 8,       # comaj_des_gf
     "permutations": 10,   # all_permutations

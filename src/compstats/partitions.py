@@ -20,50 +20,20 @@ Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
 
-def _descending_parts(n: int) -> Iterator[Partition]:
-    """The partitions of n in reverse-lexicographic order, without recursion.
-
-    Algorithm ZS1 (Zoghbi and Stojmenovic, Fast algorithms for generating
-    integer partitions, Int. J. Comput. Math. 70, 1998): the parts live in
-    one list whose unused tail holds ones, and ``h`` indexes the last part
-    above 1.  Each step lowers that part by one and refills the parts after
-    it greedily with the freed units.
-    """
+def _descending_parts(n: int, largest: int) -> Iterator[Partition]:
+    """The partitions of n into parts at most ``largest``, the largest first part first."""
     if n == 0:
         yield ()
-        return
-    parts = [1] * n
-    parts[0] = n
-    length, h = 1, 0
-    yield (n,)
-    while parts[0] != 1:
-        if parts[h] == 2:
-            length += 1
-            parts[h] = 1
-            h -= 1
-        else:
-            r = parts[h] - 1
-            units = length - h  # the unit taken off parts[h] and the ones after it
-            parts[h] = r
-            while units >= r:
-                h += 1
-                parts[h] = r
-                units -= r
-            if units == 0:
-                length = h + 1
-            else:
-                length = h + 2
-                if units > 1:
-                    h += 1
-                    parts[h] = units
-        yield tuple(parts[:length])
+    for first in range(min(n, largest), 0, -1):
+        for rest in _descending_parts(n - first, first):
+            yield (first, *rest)
 
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order."""
     check_nonnegative("n", n)
-    return tuple(_descending_parts(n))
+    return tuple(_descending_parts(n, n))
 
 
 def conjugate(shape: Sequence[int]) -> Partition:

@@ -7,6 +7,7 @@ import pytest
 from compstats import distributions, partitions, qanalog
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
+    SLOT_BITS,
     DistTable,
     _hook_sum,
     _poly,
@@ -21,6 +22,7 @@ from compstats.distributions import (
     joint_gf,
     maj_inv_poly,
     maj_inv_poly_carlitz,
+    pack,
     q_eulerian_poly,
     unpack,
     verify_composition_count_identity,
@@ -28,7 +30,7 @@ from compstats.distributions import (
     verify_q_eulerian_gf,
 )
 from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
-from compstats.partitions import partitions_of, q_eulerian_weight
+from compstats.partitions import b_statistic, hook_quotient, partitions_of, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, monomial_key, p, q, t
 from compstats.qanalog import _gauss, gaussian_binomial, pochhammer_inverse_series, q_factorial
@@ -124,11 +126,46 @@ def test_q_eulerian_sum_cut_is_exact_truncation():
             assert cut == exact.truncate({"q": max_q})
 
 
+def _filtered_hook_sum(k, max_p):
+    # the hook kernel as a filter over every partition of k, not a walk over the kept shapes
+    kernel = [0] * (max_p + 1)
+    for shape in partitions_of(k):
+        b = b_statistic(shape)
+        if b <= max_p:
+            f = hook_quotient(shape) if shape else [1]
+            packed = pack(f) << (SLOT_BITS * b)
+            for a, c in enumerate(f[:max_p - b + 1], start=b):
+                kernel[a] += c * packed
+    return tuple(kernel)
+
+
 def test_hook_sum_cut_is_exact_truncation():
     for k in range(9):
         exact = maj_inv_poly(k)
         for max_p in range(comb(k, 2) + 1):
             assert _poly(map(unpack, _hook_sum(k, max_p)), "p", "q") == exact.truncate({"p": max_p})
+    # past the hk limit too, so the walk's edges (m = k - 1, mu_1 = k - m, b = max_p) are
+    # reached on shapes that maj_inv_poly cannot build
+    for k in range(13):
+        for max_p in range(comb(k, 2) + 1):
+            assert _hook_sum(k, max_p) == _filtered_hook_sum(k, max_p)
+
+
+def test_the_hook_kernel_lists_only_the_shapes_it_keeps(monkeypatch, clear_memos):
+    # a kept shape of k is (k - m, mu) with mu a partition of m <= min(k - 1, cap - k), so
+    # within the limits no partition of more than max_k min(k - 1, 24 - k) = 11 cells is listed
+    sizes = set()
+
+    def recorded(m):
+        sizes.add(m)
+        return partitions_of(m)
+
+    monkeypatch.setattr(distributions, "partitions_of", recorded)
+    clear_memos()
+    DistTable.inversions(LIMITS["table"])
+    inversion_totals(LIMITS["table"])
+    maj_inv_poly(LIMITS["hk"])
+    assert max(sizes) == 11
 
 
 def test_q_eulerian_coefficients_nonnegative():
@@ -393,6 +430,8 @@ def test_full_kernels_stay_within_the_hk_limit():
     with pytest.raises(TooLarge):
         maj_inv_poly(LIMITS["hk"] + 1)
     with pytest.raises(TooLarge):
+        maj_inv_poly_carlitz(LIMITS["hk"] + 1)
+    with pytest.raises(TooLarge):
         q_eulerian_poly(LIMITS["hk"] + 1)
 
 
@@ -578,6 +617,9 @@ def test_dist_table_too_large():
         DistTable.inversions(LIMITS["table"] + 1)
     with pytest.raises(TooLarge):
         DistTable.descents(LIMITS["table"] + 1, k=2)
+    # the rational route that cross-checks the descent totals has the same limit
+    with pytest.raises(TooLarge):
+        des_gf_total_rational(LIMITS["table"] + 1)
 
 
 def test_negative_sizes_are_refused_at_the_library_boundary():

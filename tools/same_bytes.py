@@ -4,8 +4,8 @@ Runs a fixed list of ``compstats`` CLI calls in this process and hashes each
 call's argv, exit code, stdout and stderr, then the reprs of the series and
 totals the library returns:
 
-- ``table ic|dc --max-n N`` for N in 0..16, 20 and 24, without ``--k`` and
-  with every k in 0..N+1, in grid, csv, dense csv and json;
+- ``table ic|dc --max-n N`` for every N in 0..24, without ``--k`` and with
+  every k in 0..N+1, in grid, csv, dense csv and json;
 - ``hk 0..8``, ``hk 5 --format json``, ``verify --suite all``,
   ``bij 4,2,1,2,1,5,3`` and ``table ic --max-n 25`` (a usage error);
 - ``oeis-check`` on the five fixture b-files at ``--max-n`` 0, 1, 5, 12 and 16;
@@ -30,7 +30,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "data" / "oeis"
 SEQUENCES = ("A189052", "A189073", "A189074", "A238343", "A238344")
-TABLE_SIZES = (*range(17), 20, 24)
 TABLE_FORMATS = (["--format", "grid"], ["--format", "csv"], ["--format", "csv", "--dense"],
                  ["--format", "json"])
 SERIES_CAPS = (0, 5, 12, 16, 24)
@@ -38,7 +37,7 @@ SERIES_CAPS = (0, 5, 12, 16, 24)
 
 def calls() -> list[list[str]]:
     tables = [["table", kind, "--max-n", str(n), *k, *fmt]
-              for kind in ("ic", "dc") for n in TABLE_SIZES
+              for kind in ("ic", "dc") for n in range(25)
               for k in ([], *(["--k", str(k)] for k in range(n + 2)))
               for fmt in TABLE_FORMATS]
     fixed = ([["hk", str(k)] for k in range(9)]

@@ -1,24 +1,24 @@
 """compstats: exact distributions of inversions and descents over integer compositions.
 
 Closed forms (hook-length sums, q-Eulerian partition sums, truncated
-generating functions) together with the exhaustive enumerations that verify
-them, all over arbitrary-precision integer arithmetic.
+generating functions) together with the exhaustive enumerations and the
+independent routes in ``oracles`` that verify them, all over
+arbitrary-precision integer arithmetic.
 
 The names in ``__all__`` and the submodules resolve on first access
 (PEP 562), so importing one submodule, as every CLI call does, does not
-import the others.
+import the others: a table call loads neither ``polynomial`` nor ``oracles``.
 """
 
-_SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "partitions",
-               "permutations", "polynomial", "qanalog", "statistics")
+_SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracles",
+               "partitions", "permutations", "polynomial", "qanalog", "statistics")
 
 # public name -> the submodule that defines it
 _SOURCES = {
     name: module
     for module, names in (
         ("polynomial", "Poly Series divexact geometric_series"),
-        ("qanalog", "check_q_exponential_inverse gaussian_binomial "
-                    "pochhammer_inverse_series q_factorial"),
+        ("qanalog", "gaussian_binomial pochhammer_inverse_series q_factorial"),
         ("partitions", "b_statistic enumerate_standard_tableaux hook_lengths "
                        "partitions_of q_eulerian_weight syt_count syt_count_q "
                        "tableau_major_index"),
@@ -28,9 +28,10 @@ _SOURCES = {
                          "macmahon_inverse reversed_composition sorting_permutation"),
         ("distributions", "DistTable comaj_des_gf des_gf des_gf_total "
                           "des_gf_total_rational inv_gf inv_gf_total "
-                          "inversion_totals joint_gf maj_inv_poly maj_inv_poly_carlitz "
-                          "q_eulerian_poly verify_composition_count_identity "
-                          "verify_product_expansion verify_q_eulerian_gf"),
+                          "inversion_totals joint_gf maj_inv_poly q_eulerian_poly"),
+        ("oracles", "check_q_exponential_inverse maj_inv_poly_carlitz "
+                    "verify_composition_count_identity verify_product_expansion "
+                    "verify_q_eulerian_gf"),
     )
     for name in names.split()
 }

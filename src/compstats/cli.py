@@ -14,8 +14,8 @@ import sys
 from typing import TYPE_CHECKING
 
 # each subcommand and verify check imports what it runs, so a table never
-# loads the enumeration or OEIS modules, and an enumerating check never
-# loads the closed forms
+# loads polynomial, the oracles, or the enumeration or OEIS modules, and an
+# enumerating check never loads the closed forms
 from .errors import LIMITS, CompstatsError, InexactDivision, NetworkUnavailable
 
 if TYPE_CHECKING:
@@ -125,26 +125,26 @@ def _first_poly_difference(a: Poly, b: Poly) -> str:
 
 
 def _check_prod(max_t: int, cap: int) -> tuple[bool, str]:
-    from . import distributions
+    from . import oracles
 
-    if not distributions.verify_product_expansion(max_t, cap):
+    if not oracles.verify_product_expansion(max_t, cap):
         return False, f"product expansion differs within t-degrees 0..{max_t} (caps {cap},{cap})"
     return True, f"t-degrees 0..{max_t}, caps ({cap},{cap})"
 
 
 def _check_geneuler(max_order: int) -> tuple[bool, str]:
-    from . import distributions
+    from . import oracles
 
-    if not distributions.verify_q_eulerian_gf(max_order):
+    if not oracles.verify_q_eulerian_gf(max_order):
         return False, f"q-Eulerian generating identity fails within orders 1..{max_order}"
     return True, f"orders 1..{max_order}"
 
 
 def _check_genfuncid(max_k: int, cap: int) -> tuple[bool, str]:
-    from . import distributions
+    from . import oracles
 
     for k in range(max_k + 1):
-        if not distributions.verify_composition_count_identity(k, cap):
+        if not oracles.verify_composition_count_identity(k, cap):
             return False, f"composition-count identity fails at k={k}, cap={cap}"
     return True, f"k 0..{max_k}, cap {cap}"
 

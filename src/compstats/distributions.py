@@ -1,9 +1,12 @@
 """Closed-form distributions of inversions and descents over compositions.
 
-The closed forms here are partition-indexed sums, recurrences, and truncated
+The closed forms here are partition-indexed sums and truncated
 generating-function expansions; every one of them has a brute-force
 enumeration counterpart (in :mod:`compstats.compositions` and
-:mod:`compstats.permutations`) that the test suite plays against it.
+:mod:`compstats.permutations`) that the test suite plays against it.  The
+Carlitz recurrence and the identity verifications live in
+:mod:`compstats.oracles`; :func:`des_gf_total_rational`, the rational route
+that cross-checks the descent totals, is here.
 
 Truncation caps are explicit arguments everywhere.  A series truncated at
 cap N has exact coefficients for every power of the size variable up to N;
@@ -19,11 +22,16 @@ from functools import lru_cache
 from itertools import count, islice, zip_longest
 from math import comb
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
 from .partitions import hook_quotient, partitions_of
-from .polynomial import Poly, Series, divexact, geometric_series, monomial_key
-from .qanalog import gaussian_binomial, partition_counts, pochhammer_inverse_series, q_factorial
+from .qanalog import partition_counts, pochhammer_inverse_series
+
+# the tables and totals work on packed ints, so only the functions that return a Poly or a
+# Series import polynomial, when called: a table call never compiles it
+if TYPE_CHECKING:
+    from .polynomial import Poly, Series
 
 # A packed polynomial is one int, sum_e c_e 2^(SLOT_BITS e). Packing is a ring map, so packed
 # sums and products stay exact; unpack reads back results with coefficients in [0, 2^SLOT_BITS).
@@ -76,22 +84,6 @@ def maj_inv_poly(k: int) -> Poly:
     return _poly(map(unpack, _hook_sum(k, comb(k, 2))), "p", "q")
 
 
-@lru_cache(maxsize=None)
-def maj_inv_poly_carlitz(k: int) -> Poly:
-    """The same polynomial as :func:`maj_inv_poly`, via the Carlitz recurrence; k has its limit."""
-    check_size("hk", "k", k)
-    if k == 0:
-        return Poly.one()
-    total = Poly.zero()
-    for j in range(k):
-        ratio = Poly.one()
-        for i in range(j + 1, k):
-            ratio = ratio * (1 - Poly.variable("p", i))
-        term = Poly.variable("p", j) * ratio * gaussian_binomial(k, j)
-        total = total + term * maj_inv_poly_carlitz(j)
-    return total
-
-
 def _q_eulerian_sum(k: int, max_q: int) -> tuple[int, ...]:
     """The partition sum of :func:`q_eulerian_poly` with every weight cut at q^max_q, packed:
     entry a is the t-polynomial of q^a.  A shape with j parts carries j!/prod m_i! times its
@@ -122,6 +114,8 @@ def q_eulerian_poly(k: int) -> Poly:
 
 def _poly(rows: Iterable[Iterable[int]], outer: str, inner: str) -> Poly:
     """Coefficient rows as a Poly: rows[i] lists the ``inner`` polynomial of outer^i."""
+    from .polynomial import Poly, monomial_key
+
     return Poly({monomial_key({outer: i, inner: r}): c
                  for i, row in enumerate(rows) for r, c in enumerate(row)})
 
@@ -155,6 +149,8 @@ def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
 
 
 def _series(kernel, size_var: str, stat_var: str, cap: int, k: int | None = None) -> Series:
+    from .polynomial import Series
+
     _check_leading(k, cap)
     return Series(_poly(_counts(kernel, cap, k), size_var, stat_var), size_var, cap)
 
@@ -192,6 +188,8 @@ def des_gf_total_rational(cap: int) -> Series:
     as a truncated series and solves D * X = 1 - t for X; the constant
     q-coefficient of D must be exactly 1 - t for the solve to start; cap has des_gf_total's limit.
     """
+    from .polynomial import Poly, Series, divexact
+
     check_size("table", "cap", cap)
     t_var = Poly.variable("t")
     denominator = Series(-t_var, "q", cap)
@@ -226,6 +224,7 @@ def _over_k_partitions(limit: str, k: int, cap: int, stats: tuple[str, ...],
     check_size(limit, "k", k)
     _check_leading(k, cap)
     from . import permutations
+    from .polynomial import Poly
 
     dist = permutations.statistic_distribution(k, stats, variables)
     return pochhammer_inverse_series(k, "p", cap) * Poly.variable("p", k) * dist
@@ -269,77 +268,6 @@ def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], in
     over all k-compositions of n (1 <= k <= n)."""
     by_n, by_nk = _inversion_totals(cap)
     return dict(enumerate(by_n)), dict(by_nk)
-
-
-# ---------------------------------------------------------------------------
-# Identity verifications
-# ---------------------------------------------------------------------------
-
-def verify_product_expansion(max_t: int, cap: int) -> bool:
-    """Check the two-alphabet product expansion against the hook-sum closed form.
-
-    Expands prod over 0 <= a, b <= cap of 1/(1 - p^a q^b t) as a series
-    truncated at (t^max_t, p^cap, q^cap) and compares the coefficient of t^k
-    with the hook-sum polynomial divided by both Pochhammer products, for
-    every k <= max_t.  The (a, b) = (0, 0) factor contributes the geometric
-    series in t alone.
-    """
-    check_nonnegative("max_t", max_t)
-    check_nonnegative("cap", cap)
-    caps = {"p": cap, "q": cap, "t": max_t}
-    product = Poly.one()
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            factor = geometric_series({"p": a, "q": b, "t": 1}, "t", max_t).body.truncate(caps)
-            product = (product * factor).truncate(caps)
-    by_t = product.coefficients_in("t")
-    for k in range(max_t + 1):
-        closed = (maj_inv_poly(k)
-                  * pochhammer_inverse_series(k, "p", cap).body
-                  * pochhammer_inverse_series(k, "q", cap).body)
-        if by_t.get(k, Poly.zero()) != closed.truncate({"p": cap, "q": cap}):
-            return False
-    return True
-
-
-def verify_q_eulerian_gf(max_order: int) -> bool:
-    """Check the exponential generating identity for the q-Eulerian polynomials.
-
-    With the denominator cleared and coefficients of z^m compared, the
-    identity reduces to, for every m >= 1:
-
-        sum_{j=0..m} q^C(j,2) (t-1)^j gauss(m, j) A_{m-j}(q, t)  =  t A_m(q, t)
-
-    where A_i is :func:`q_eulerian_poly`.  Pure polynomial arithmetic.
-    """
-    check_nonnegative("max_order", max_order)
-    t_minus_one = Poly.variable("t") - 1
-    for m in range(1, max_order + 1):
-        lhs = Poly.zero()
-        for j in range(m + 1):
-            lhs = lhs + (Poly.variable("q", comb(j, 2))
-                         * t_minus_one ** j
-                         * gaussian_binomial(m, j)
-                         * q_eulerian_poly(m - j))
-        if lhs != Poly.variable("t") * q_eulerian_poly(m):
-            return False
-    return True
-
-
-def verify_composition_count_identity(k: int, cap: int) -> bool:
-    """Check q^k/(1-q)^k = [k]_q! q^k/(q)_k as series truncated at ``cap``.
-
-    The left side generates k-composition counts by size; the right side is
-    the maj distribution over S_k times the k-partition size series.
-    """
-    check_nonnegative("k", k)
-    lhs = Series.one("q", cap)
-    for _ in range(k):
-        lhs = lhs * geometric_series({"q": 1}, "q", cap)
-    lhs = lhs * Poly.variable("q", k)
-    rhs = (pochhammer_inverse_series(k, "q", cap)
-           * (q_factorial(k) * Poly.variable("q", k)))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,10 @@ class NetworkUnavailable(RuntimeError):
 # library enforces these through check_size and the CLI bounds read them too
 LIMITS = {
     "table": 24,          # DistTable, inversion_totals, des_gf_total_rational, verify --cap,
-                          # genfuncid --k
-    "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler; maj_inv_poly_carlitz
+                          # genfuncid --k; the caps of verify_product_expansion and
+                          # verify_composition_count_identity, and the latter's k
+    "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler; maj_inv_poly_carlitz,
+                          # verify_product_expansion's max_t, verify_q_eulerian_gf's max_order
     "joint": 7,           # joint_gf and verify jointstat, foata, equidist --k
     "comaj_des": 8,       # comaj_des_gf
     "permutations": 10,   # all_permutations

@@ -11,10 +11,14 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial, prod
+from typing import TYPE_CHECKING
 
 from .errors import EmptyPartition, InexactDivision, check_nonnegative, check_partition, check_size
-from .polynomial import Poly, from_coefficients
 from .qanalog import q_multinomial, q_quotient
+
+# the hook kernel reads hook_quotient's lists, so syt_count_q alone imports polynomial, when called
+if TYPE_CHECKING:
+    from .polynomial import Poly
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -82,6 +86,8 @@ def hook_quotient(shape: Sequence[int]) -> list[int]:
 
 def syt_count_q(shape: Sequence[int]) -> Poly:
     """q-analog of syt_count: q^b(shape) [n]_q! / prod [h(u)]_q."""
+    from .polynomial import from_coefficients
+
     return from_coefficients([0] * b_statistic(shape) + hook_quotient(shape), "q")
 
 

@@ -10,20 +10,28 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import count, islice
-from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, OutOfRange, check_nonnegative
-from .polynomial import Poly, Series, from_coefficients
+
+# q_quotient and partition_counts work on lists, which is all a table call runs, so the
+# functions that return a Poly or a Series import polynomial when called
+if TYPE_CHECKING:
+    from .polynomial import Poly, Series
 
 
 def q_factorial(n: int) -> Poly:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q = (q)_n / (1 - q)^n, with [0]_q! = 1."""
+    from .polynomial import from_coefficients
+
     check_nonnegative("n", n)
     return from_coefficients(q_quotient(range(1, n + 1), [1] * n), "q")
 
 
 @lru_cache(maxsize=None)
 def _gauss(n: int, k: int) -> Poly:
+    from .polynomial import Poly
+
     if k == 0 or k == n:
         return Poly.one()
     # Pascal-type recurrence keeps everything inside the polynomial ring
@@ -69,6 +77,8 @@ def q_quotient(up: Iterable[int], down: Iterable[int]) -> list[int]:
 def q_multinomial(parts: tuple[int, ...]) -> Poly:
     """q-analog of the multinomial coefficient (sum parts; parts):
     [n]_q! / prod [m]_q! over the parts m, that is (q)_n / prod (q)_m."""
+    from .polynomial import from_coefficients
+
     check_nonnegative("part", min(parts, default=0))
     down = [v for m in parts for v in range(1, m + 1)]
     return from_coefficients(q_quotient(range(1, sum(parts) + 1), down), "q")
@@ -86,24 +96,8 @@ def partition_counts(cap: int) -> Iterator[list[int]]:
 def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:
     """1/(x)_n as a series in ``var`` truncated at ``cap``: the coefficient of
     x^m counts the partitions of m into parts at most n."""
+    from .polynomial import Series, from_coefficients
+
     check_nonnegative("n", n)
     counts = next(islice(partition_counts(cap), n, None))
     return Series(from_coefficients(counts, var), var, cap)
-
-
-def check_q_exponential_inverse(max_order: int) -> bool:
-    """Verify that the two standard q-exponentials are reciprocal, order by order.
-
-    The coefficient identity, cleared of factorial denominators, reads
-    sum_{j=0..m} (-1)^j q^C(j,2) gauss(m, j) = 0 for every m >= 1.  Returns
-    True iff it holds for all 1 <= m <= max_order.
-    """
-    check_nonnegative("max_order", max_order)
-    for m in range(1, max_order + 1):
-        total = Poly.zero()
-        for j in range(m + 1):
-            sign = -1 if j % 2 else 1
-            total = total + sign * Poly.variable("q", comb(j, 2)) * gaussian_binomial(m, j)
-        if total:
-            return False
-    return True

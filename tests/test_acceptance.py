@@ -26,13 +26,16 @@ from compstats.distributions import (
     inv_gf_total,
     joint_gf,
     maj_inv_poly,
-    maj_inv_poly_carlitz,
     q_eulerian_poly,
+)
+from compstats.oeis import check_sequence, load_bfile, load_metadata
+from compstats.oracles import (
+    check_q_exponential_inverse,
+    maj_inv_poly_carlitz,
     verify_composition_count_identity,
     verify_product_expansion,
     verify_q_eulerian_gf,
 )
-from compstats.oeis import check_sequence, load_bfile, load_metadata
 from compstats.partitions import (
     enumerate_standard_tableaux,
     hook_lengths,
@@ -50,7 +53,7 @@ from compstats.permutations import (
     statistic_distribution as permutation_distribution,
 )
 from compstats.polynomial import Poly, p, q, t
-from compstats.qanalog import check_q_exponential_inverse, q_factorial
+from compstats.qanalog import q_factorial
 
 DATA = Path(__file__).parent / "data"
 

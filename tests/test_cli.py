@@ -227,16 +227,16 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
 def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     # force one identity check to fail and make sure the FAIL line and exit
     # code surface it
-    from compstats import distributions
+    from compstats import oracles
 
-    monkeypatch.setattr(distributions, "verify_composition_count_identity",
+    monkeypatch.setattr(oracles, "verify_composition_count_identity",
                         lambda k, cap: k < 2)
     code, out, _ = run(capsys, "verify", "--suite", "genfuncid", "--k", "4")
     assert code == 1
     assert "FAIL genfuncid" in out
     assert "k=2" in out
 
-    monkeypatch.setattr(distributions, "verify_product_expansion",
+    monkeypatch.setattr(oracles, "verify_product_expansion",
                         lambda max_t, cap: False)
     code, out, _ = run(capsys, "verify", "--suite", "prod", "--k", "2", "--cap", "6")
     assert code == 1

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from compstats import distributions, partitions, qanalog
+from compstats import distributions, oracles, partitions, qanalog
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
     SLOT_BITS,
@@ -21,15 +21,17 @@ from compstats.distributions import (
     inversion_totals,
     joint_gf,
     maj_inv_poly,
-    maj_inv_poly_carlitz,
     pack,
     q_eulerian_poly,
     unpack,
+)
+from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
+from compstats.oracles import (
+    maj_inv_poly_carlitz,
     verify_composition_count_identity,
     verify_product_expansion,
     verify_q_eulerian_gf,
 )
-from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
 from compstats.partitions import b_statistic, hook_quotient, partitions_of, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, monomial_key, p, q, t
@@ -433,6 +435,12 @@ def test_full_kernels_stay_within_the_hk_limit():
         maj_inv_poly_carlitz(LIMITS["hk"] + 1)
     with pytest.raises(TooLarge):
         q_eulerian_poly(LIMITS["hk"] + 1)
+    # the identity checks over the S_k polynomials refuse an order past them before any work
+    over = LIMITS["hk"] + 1
+    with pytest.raises(TooLarge, match=f"^max_order {over} exceeds the hk limit"):
+        verify_q_eulerian_gf(over)
+    with pytest.raises(TooLarge, match=f"^max_t {over} exceeds the hk limit"):
+        verify_product_expansion(over, 2)
 
 
 def test_verify_q_eulerian_gf():
@@ -617,9 +625,15 @@ def test_dist_table_too_large():
         DistTable.inversions(LIMITS["table"] + 1)
     with pytest.raises(TooLarge):
         DistTable.descents(LIMITS["table"] + 1, k=2)
-    # the rational route that cross-checks the descent totals has the same limit
-    with pytest.raises(TooLarge):
-        des_gf_total_rational(LIMITS["table"] + 1)
+    # the rational route that cross-checks the descent totals has the same limit,
+    # and so do the identity checks' caps and genfuncid's part count
+    over = LIMITS["table"] + 1
+    for call, name in ((lambda: des_gf_total_rational(over), "cap"),
+                       (lambda: verify_product_expansion(1, over), "cap"),
+                       (lambda: verify_composition_count_identity(over, 5), "k"),
+                       (lambda: verify_composition_count_identity(2, over), "cap")):
+        with pytest.raises(TooLarge, match=f"^{name} {over} exceeds the table limit"):
+            call()
 
 
 def test_negative_sizes_are_refused_at_the_library_boundary():
@@ -640,7 +654,7 @@ def test_negative_sizes_are_refused_at_the_library_boundary():
                        (lambda: verify_product_expansion(-1, 3), "max_t"),
                        (lambda: verify_product_expansion(2, -1), "cap"),
                        (lambda: verify_q_eulerian_gf(-1), "max_order"),
-                       (lambda: qanalog.check_q_exponential_inverse(-1), "max_order"),
+                       (lambda: oracles.check_q_exponential_inverse(-1), "max_order"),
                        (lambda: partitions_of(-1), "n"),
                        (lambda: compositions_of(3, -1), "k"),
                        (lambda: composition_distribution(-1, 5, ("sum",), ("p",)), "k"),

@@ -11,18 +11,22 @@ import compstats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the modules a table or hk call may load beyond argparse, json and what
-# they pull in; __future__ comes with ``from __future__ import annotations``,
-# and a bare interpreter may already hold math and collections.abc
+# the modules a table call may load beyond argparse, json and what they pull
+# in; __future__ comes with ``from __future__ import annotations``, and a bare
+# interpreter may already hold math and collections.abc.  The table path works
+# on packed ints, so it never loads polynomial; hk builds a Poly from the same
+# kernel, so it adds polynomial alone
 TABLE_PATH = {
-    "compstats", "compstats.cli", "compstats.errors", "compstats.polynomial",
-    "compstats.qanalog", "compstats.partitions", "compstats.distributions",
+    "compstats", "compstats.cli", "compstats.errors", "compstats.qanalog",
+    "compstats.partitions", "compstats.distributions",
     "__future__", "math", "collections.abc",
 }
+HK_PATH = TABLE_PATH | {"compstats.polynomial"}
 NEVER_ON_TABLE_PATH = {
-    "urllib.request", "compstats.oeis", "compstats.permutations",
+    "urllib.request", "compstats.oeis", "compstats.oracles", "compstats.permutations",
     "compstats.compositions", "dataclasses",
 }
+BFILES = Path(__file__).parent / "data" / "oeis"
 
 
 def loaded_modules(code: str, *argv: str) -> set[str]:
@@ -35,7 +39,8 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
     return set(result.stderr.split())
 
 
-@pytest.mark.parametrize("argv", [("table", "ic", "--max-n", "4"), ("hk", "3")])
+@pytest.mark.parametrize("argv", [("table", "ic", "--max-n", "4"), ("hk", "3"),
+                                  ("table", "dc", "--max-n", "4", "--k", "2")])
 def test_cli_call_loads_only_what_its_subcommand_runs(argv):
     bare = loaded_modules("")
     stdlib = loaded_modules(
@@ -47,14 +52,33 @@ def test_cli_call_loads_only_what_its_subcommand_runs(argv):
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     extra = used - bare
     assert extra & NEVER_ON_TABLE_PATH == set()
-    assert extra - stdlib - TABLE_PATH == set()
+    assert extra - stdlib - (HK_PATH if argv[0] == "hk" else TABLE_PATH) == set()
+
+
+TABLE_MODULES = {name for name in TABLE_PATH if name.partition(".")[0] == "compstats"}
+ORACLE_MODULES = TABLE_MODULES | {"compstats.polynomial", "compstats.oracles"}
+
+
+# oeis-check reads the same tables and totals; the identity suites run the oracles
+@pytest.mark.parametrize("argv, modules", [
+    (("oeis-check", "--seq", "A189073", "--bfile", str(BFILES / "b189073.txt"), "--max-n", "6"),
+     TABLE_MODULES | {"compstats.oeis"}),
+    (("oeis-check", "--seq", "A238343", "--bfile", str(BFILES / "b238343.txt"), "--max-n", "6"),
+     TABLE_MODULES | {"compstats.oeis"}),
+    (("verify", "--suite", "prod", "--k", "2", "--cap", "3"), ORACLE_MODULES),
+    (("verify", "--suite", "geneuler", "--k", "3"), ORACLE_MODULES),
+    (("verify", "--suite", "genfuncid", "--k", "2", "--cap", "4"), ORACLE_MODULES),
+])
+def test_compstats_modules_a_call_loads(argv, modules):
+    used = loaded_modules(
+        "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+    assert {name for name in used if name.partition(".")[0] == "compstats"} == modules
 
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "foata", "--k", "3"),
     ("bij", "2,1"),
-    ("oeis-check", "--seq", "A189074", "--bfile",
-     str(Path(__file__).parent / "data" / "oeis" / "b189074.txt"), "--max-n", "4"),
+    ("oeis-check", "--seq", "A189074", "--bfile", str(BFILES / "b189074.txt"), "--max-n", "4"),
 ])
 def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
     used = loaded_modules(
@@ -62,7 +86,8 @@ def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
     assert "dataclasses" not in used
 
 
-CLOSED_FORMS = {"compstats.distributions", "compstats.partitions", "compstats.qanalog"}
+CLOSED_FORMS = {"compstats.distributions", "compstats.oracles", "compstats.partitions",
+                "compstats.qanalog"}
 
 
 # the compositions side imports check_partition from errors, not from partitions

@@ -4,10 +4,10 @@ from math import comb, factorial, prod
 import pytest
 
 from compstats.errors import InexactDivision, OutOfRange
+from compstats.oracles import check_q_exponential_inverse
 from compstats.partitions import hook_lengths
 from compstats.polynomial import Poly, Series, from_coefficients, geometric_series, q
 from compstats.qanalog import (
-    check_q_exponential_inverse,
     gaussian_binomial,
     pochhammer_inverse_series,
     q_factorial,

@@ -10,13 +10,16 @@ totals the library returns:
   ``bij 4,2,1,2,1,5,3`` and ``table ic --max-n 25`` (a usage error);
 - ``oeis-check`` on the five fixture b-files at ``--max-n`` 0, 1, 5, 12 and 16;
 - ``inv_gf``, ``inv_gf_total``, ``des_gf``, ``des_gf_total`` and
-  ``inversion_totals`` at caps 0, 5, 12, 16 and 24, every k in 0..cap.
+  ``inversion_totals`` at caps 0, 5, 12, 16 and 24, every k in 0..cap;
+- the cross-check routes ``des_gf_total_rational`` at the same caps and
+  ``maj_inv_poly_carlitz`` at k 0..8.
 
     python3 tools/same_bytes.py
 
 It imports the package from the ``src`` directory next to it, and hashes the
 fixture paths relative to the checkout, so a copy of this script placed in
-another checkout hashes that checkout's code.
+another checkout hashes that checkout's code.  It looks the library functions
+up as ``compstats.<name>``, so it runs whichever module defines them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ SEQUENCES = ("A189052", "A189073", "A189074", "A238343", "A238344")
 TABLE_FORMATS = (["--format", "grid"], ["--format", "csv"], ["--format", "csv", "--dense"],
                  ["--format", "json"])
 SERIES_CAPS = (0, 5, 12, 16, 24)
+CARLITZ_KS = range(9)
 
 
 def calls() -> list[list[str]]:
@@ -61,24 +65,29 @@ def run(cli, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def library_values(distributions):
+def library_values(compstats):
     for cap in SERIES_CAPS:
         for k in range(cap + 1):
-            yield distributions.inv_gf(k, cap)
-            yield distributions.des_gf(k, cap)
-        yield distributions.inv_gf_total(cap)
-        yield distributions.des_gf_total(cap)
-        yield distributions.inversion_totals(cap)
+            yield compstats.inv_gf(k, cap)
+            yield compstats.des_gf(k, cap)
+        yield compstats.inv_gf_total(cap)
+        yield compstats.des_gf_total(cap)
+        yield compstats.inversion_totals(cap)
+    for cap in SERIES_CAPS:
+        yield compstats.des_gf_total_rational(cap)
+    for k in CARLITZ_KS:
+        yield compstats.maj_inv_poly_carlitz(k)
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    from compstats import cli, distributions
+    import compstats
+    from compstats import cli
 
     digest = hashlib.sha256()
     for argv in calls():
         digest.update(repr((argv, *run(cli, argv))).encode() + b"\n")
-    for value in library_values(distributions):
+    for value in library_values(compstats):
         digest.update(repr(value).encode() + b"\n")
     print(digest.hexdigest())
     return 0

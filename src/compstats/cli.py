@@ -260,10 +260,9 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
         if swapped != reference:
             return False, f"k={k}: joint distribution is not symmetric"
     comp_max_k = min(max_k, 5)
-    comp_cap = min(cap, 12)
     variable = {"sum": "p", "inv": "q", "maj": "t", "comaj": "u"}
     for k in range(comp_max_k + 1):
-        joint = composition_distribution(k, comp_cap, tuple(variable),
+        joint = composition_distribution(k, cap, tuple(variable),
                                          tuple(variable.values())).body
         reference = _pair(joint, variable["sum"], variable["inv"])
         for stat in ("maj", "comaj"):
@@ -271,8 +270,7 @@ def _check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
             if other != reference:
                 return False, (f"k={k}: (sum,{stat}) over compositions differs: "
                                + _first_poly_difference(other, reference))
-    return True, (f"S_k for k 0..{max_k}; compositions k 0..{comp_max_k}, "
-                  f"cap {comp_cap}")
+    return True, f"S_k for k 0..{max_k}; compositions k 0..{comp_max_k}, cap {cap}"
 
 
 # suite -> its check and the bounds it reads, in argument order: option name ->

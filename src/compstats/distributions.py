@@ -19,14 +19,14 @@ import json
 import sys
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import count, islice, zip_longest
+from itertools import count, zip_longest
 from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING
 
-from .errors import CapTooSmall, DenominatorNotUnit, check_nonnegative, check_size
+from .errors import CapTooSmall, InexactDivision, check_nonnegative, check_size
 from .partitions import hook_quotient, partitions_of
-from .qanalog import partition_counts, pochhammer_inverse_series
+from .qanalog import over_pochhammer, pochhammer_inverse_series
 
 # the tables and totals work on packed ints, so only the functions that return a Poly or a
 # Series import polynomial, when called: a table call never compiles it
@@ -132,19 +132,19 @@ def _check_leading(k: int | None, cap: int) -> None:
 @lru_cache(maxsize=None)
 def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     """Row n lists the counts of the (k-)compositions of n by the kernel's statistic r, up to
-    the last nonzero one.  The j-compositions contribute x^j / (x)_j times the kernel K_j:
-    sum_a P_j[n-j-a] K_j[a] at n, with P_j counting partitions into parts at most j.  K_j is
-    cut at min(cap - j, C(j, 2)); C(j, 2) is its degree.  Packed counts stay below
+    the last nonzero one.  The j-compositions contribute x^j K_j / (x)_j: the kernel K_j, cut at
+    min(cap - j, C(j, 2)) (its degree is C(j, 2)) and padded to cap - j + 1 entries, is divided
+    by (x)_j in place and added at offset j.  Packed counts stay below
     2^(cap-1) < 2^SLOT_BITS.  The rows are shared: callers read them, never copy them."""
     check_size("table", "cap", cap)
     if k is not None:
         check_nonnegative("k", k)
     rows = [0] * (cap + 1)
-    for j, counts in enumerate(islice(partition_counts(cap), cap + 1)):
+    for j in range(cap + 1):
         if k in (None, j):
             kern = kernel(j, min(cap - j, comb(j, 2)))
-            rows[j:] = map(add, rows[j:], (sum(map(mul, counts[m::-1], kern))
-                                           for m in range(cap - j + 1)))
+            series = over_pochhammer(list(kern) + [0] * (cap - j + 1 - len(kern)), j)
+            rows[j:] = map(add, rows[j:], series)
     return tuple(map(tuple, map(unpack, rows)))
 
 
@@ -202,7 +202,7 @@ def des_gf_total_rational(cap: int) -> Series:
     by_q = denominator.body.coefficients_in("q")
     d_0 = 1 - t_var
     if by_q.get(0, Poly.zero()) != d_0:
-        raise DenominatorNotUnit(
+        raise InexactDivision(
             f"constant q-coefficient of the denominator is {by_q.get(0, Poly.zero())}, "
             "expected 1 - t")
     coefficients: list[Poly] = [Poly.one()]

@@ -47,10 +47,6 @@ class CapTooSmall(CompstatsError):
     """Requested truncation cap cannot hold the leading term."""
 
 
-class DenominatorNotUnit(CompstatsError):
-    """Series division against a denominator whose constant term is not invertible."""
-
-
 class BFileParseError(CompstatsError):
     pass
 

@@ -14,7 +14,7 @@ from math import comb
 
 from .distributions import maj_inv_poly, q_eulerian_poly
 from .errors import check_nonnegative, check_size
-from .polynomial import Poly, Series, geometric_series
+from .polynomial import Poly, Series, from_coefficients
 from .qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
 
 
@@ -37,26 +37,27 @@ def maj_inv_poly_carlitz(k: int) -> Poly:
 def verify_product_expansion(max_t: int, cap: int) -> bool:
     """Check the two-alphabet product expansion against the hook-sum closed form.
 
-    Expands prod over 0 <= a, b <= cap of 1/(1 - p^a q^b t) as a series
-    truncated at (t^max_t, p^cap, q^cap) and compares the coefficient of t^k
-    with the hook-sum polynomial divided by both Pochhammer products, for
-    every k <= max_t.  The (a, b) = (0, 0) factor contributes the geometric
-    series in t alone.  max_t has maj_inv_poly's limit and cap the table limit.
+    Expands prod over 0 <= a, b <= cap of 1/(1 - p^a q^b t) truncated at
+    (t^max_t, p^cap, q^cap), one factor at a time: dividing the t-coefficients
+    by 1 - p^a q^b t adds p^a q^b times the t^(k-1) coefficient to the t^k one,
+    for k = 1..max_t in turn.  The coefficient of t^k is then compared with the
+    hook-sum polynomial divided by both Pochhammer products, for every
+    k <= max_t.  max_t has maj_inv_poly's limit and cap the table limit.
     """
     check_size("hk", "max_t", max_t)
     check_size("table", "cap", cap)
-    caps = {"p": cap, "q": cap, "t": max_t}
-    product = Poly.one()
+    caps = {"p": cap, "q": cap}
+    by_t = [Poly.one()] + [Poly.zero()] * max_t
     for a in range(cap + 1):
         for b in range(cap + 1):
-            factor = geometric_series({"p": a, "q": b, "t": 1}, "t", max_t).body.truncate(caps)
-            product = (product * factor).truncate(caps)
-    by_t = product.coefficients_in("t")
-    for k in range(max_t + 1):
+            monomial = Poly.variable("p", a) * Poly.variable("q", b)
+            for k in range(1, max_t + 1):
+                by_t[k] = by_t[k] + (monomial * by_t[k - 1]).truncate(caps)
+    for k, coefficient in enumerate(by_t):
         closed = (maj_inv_poly(k)
                   * pochhammer_inverse_series(k, "p", cap).body
                   * pochhammer_inverse_series(k, "q", cap).body)
-        if by_t.get(k, Poly.zero()) != closed.truncate({"p": cap, "q": cap}):
+        if coefficient != closed.truncate(caps):
             return False
     return True
 
@@ -89,16 +90,15 @@ def verify_q_eulerian_gf(max_order: int) -> bool:
 def verify_composition_count_identity(k: int, cap: int) -> bool:
     """Check q^k/(1-q)^k = [k]_q! q^k/(q)_k as series truncated at ``cap``.
 
-    The left side generates k-composition counts by size; the right side is
-    the maj distribution over S_k times the k-partition size series.  k and
-    cap have the table limit.
+    The left side generates k-composition counts by size, so its coefficient
+    of q^n is the count C(n-1, k-1) of k-compositions of n (and 1 for the
+    empty composition, n = k = 0); the right side is the maj distribution over
+    S_k times the k-partition size series.  k and cap have the table limit.
     """
     check_size("table", "k", k)
     check_size("table", "cap", cap)
-    lhs = Series.one("q", cap)
-    for _ in range(k):
-        lhs = lhs * geometric_series({"q": 1}, "q", cap)
-    lhs = lhs * Poly.variable("q", k)
+    counts = [comb(n - 1, k - 1) if n and k else int(n == k) for n in range(cap + 1)]
+    lhs = Series(from_coefficients(counts, "q"), "q", cap)
     rhs = (pochhammer_inverse_series(k, "q", cap)
            * (q_factorial(k) * Poly.variable("q", k)))
     return lhs == rhs

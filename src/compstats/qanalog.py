@@ -1,20 +1,20 @@
 """q-analog building blocks: [n]_q!, Gaussian binomials, q-multinomials and 1/(q)_n.
 
 The polynomials are in the variable q (Poly.rename moves them).  [n]_q!, the q-multinomials and
-the hook quotients are all q_quotient, which like the partition counts works on dense lists.
+the hook quotients are all q_quotient; every division by a product of (1 - q^v) factors, there
+and in over_pochhammer, is one in-place pass over a dense list per factor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import lru_cache
-from itertools import count, islice
 from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, OutOfRange, check_nonnegative
 
-# q_quotient and partition_counts work on lists, which is all a table call runs, so the
+# q_quotient and over_pochhammer work on lists, which is all a table call runs, so the
 # functions that return a Poly or a Series import polynomial when called
 if TYPE_CHECKING:
     from .polynomial import Poly, Series
@@ -84,13 +84,14 @@ def q_multinomial(parts: tuple[int, ...]) -> Poly:
     return from_coefficients(q_quotient(range(1, sum(parts) + 1), down), "q")
 
 
-def partition_counts(cap: int) -> Iterator[list[int]]:
-    """Yield, for j = 0, 1, 2, ..., the coefficients of 1/(x)_j up to x^cap: entry m counts the
-    partitions of m into parts at most j.  One list, updated in place between yields."""
-    counts = [1] + [0] * cap
-    for part in count(1):
-        yield counts
-        _over_one_minus(counts, part)
+def over_pochhammer(coefficients: list[int], n: int) -> list[int]:
+    """Divide the power series ``coefficients`` in place by (x)_n = (1 - x)(1 - x^2)...(1 - x^n),
+    keeping its length, and return it: one pass per part, and a part past the length is a no-op.
+    Packed entries divide as plain ints do.  On [1, 0, 0, ...] entry m counts the partitions of m
+    into parts at most n."""
+    for part in range(1, min(n, len(coefficients) - 1) + 1):
+        _over_one_minus(coefficients, part)
+    return coefficients
 
 
 def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:
@@ -99,5 +100,4 @@ def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:
     from .polynomial import Series, from_coefficients
 
     check_nonnegative("n", n)
-    counts = next(islice(partition_counts(cap), n, None))
-    return Series(from_coefficients(counts, var), var, cap)
+    return Series(from_coefficients(over_pochhammer([1] + [0] * cap, n), var), var, cap)

@@ -156,6 +156,9 @@ def test_verify_single_suites(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "5",
                        "--cap", "8")
     assert code == 0
+    # the composition half runs at the cap asked for, past the default of 12
+    code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "2", "--cap", "14")
+    assert (code, out) == (0, "PASS equidist: S_k for k 0..2; compositions k 0..2, cap 14\n")
     code, out, _ = run(capsys, "verify", "--suite", "prod", "--k", "2",
                        "--cap", "6")
     assert code == 0

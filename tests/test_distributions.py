@@ -25,7 +25,7 @@ from compstats.distributions import (
     q_eulerian_poly,
     unpack,
 )
-from compstats.errors import LIMITS, CapTooSmall, TooLarge, check_size
+from compstats.errors import LIMITS, CapTooSmall, InexactDivision, TooLarge, check_size
 from compstats.oracles import (
     maj_inv_poly_carlitz,
     verify_composition_count_identity,
@@ -257,6 +257,15 @@ def test_des_gf_total_spot_values():
     assert des_gf_total_rational(10).coeff(q=10, t=1) == 247
 
 
+def test_rational_route_broken_denominator_is_an_internal_error(monkeypatch):
+    # the constant q-coefficient of the denominator is 1 - t by construction, so any other
+    # value is a bug in the route, not a usage error
+    monkeypatch.setattr(distributions, "pochhammer_inverse_series",
+                        lambda n, var, cap: 2 * pochhammer_inverse_series(n, var, cap))
+    with pytest.raises(InexactDivision, match="expected 1 - t"):
+        des_gf_total_rational(4)
+
+
 def test_comaj_des_gf_matches_brute_force():
     for k in range(5):
         closed = comaj_des_gf(k, 8)
@@ -337,9 +346,13 @@ def test_inversion_totals_too_large():
         inversion_totals(25)
 
 
-def test_verify_product_expansion():
+def test_verify_product_expansion(monkeypatch):
     assert verify_product_expansion(0, 4)
     assert verify_product_expansion(2, 6)
+    # a closed form wrong in one coefficient, inside the caps, fails the check
+    monkeypatch.setattr(oracles, "maj_inv_poly",
+                        lambda k: maj_inv_poly(k) + (p * q if k == 2 else 0))
+    assert not verify_product_expansion(2, 6)
 
 
 @pytest.fixture
@@ -443,15 +456,24 @@ def test_full_kernels_stay_within_the_hk_limit():
         verify_product_expansion(over, 2)
 
 
-def test_verify_q_eulerian_gf():
+def test_verify_q_eulerian_gf(monkeypatch):
     assert verify_q_eulerian_gf(1)
     assert verify_q_eulerian_gf(3)
+    monkeypatch.setattr(oracles, "q_eulerian_poly",
+                        lambda k: q_eulerian_poly(k) + (q * t if k == 2 else 0))
+    assert not verify_q_eulerian_gf(3)
 
 
-def test_verify_composition_count_identity():
+def test_verify_composition_count_identity(monkeypatch):
+    assert verify_composition_count_identity(0, 0)
+    assert verify_composition_count_identity(0, 4)
     assert verify_composition_count_identity(1, 5)
     assert verify_composition_count_identity(3, 10)
     assert verify_composition_count_identity(5, 12)
+    assert verify_composition_count_identity(6, 3)
+    monkeypatch.setattr(oracles, "q_factorial", lambda k: q_factorial(k) + (q if k == 3 else 0))
+    assert not verify_composition_count_identity(3, 10)
+    assert verify_composition_count_identity(2, 10)
 
 
 # ---------------------------------------------------------------------------

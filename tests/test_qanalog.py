@@ -171,6 +171,8 @@ def test_pochhammer_inverse_series_equals_the_geometric_product():
                 if n:
                     reference = reference * geometric_series({var: n}, var, cap)
                 assert pochhammer_inverse_series(n, var, cap) == reference
+    # a part past the cap divides by nothing, so a huge n costs no more than n = cap
+    assert pochhammer_inverse_series(10 ** 12, "q", 4) == pochhammer_inverse_series(4, "q", 4)
 
 
 def test_q_exponential_inverse_check():

@@ -12,7 +12,10 @@ totals the library returns:
 - ``inv_gf``, ``inv_gf_total``, ``des_gf``, ``des_gf_total`` and
   ``inversion_totals`` at caps 0, 5, 12, 16 and 24, every k in 0..cap;
 - the cross-check routes ``des_gf_total_rational`` at the same caps and
-  ``maj_inv_poly_carlitz`` at k 0..8.
+  ``maj_inv_poly_carlitz`` at k 0..8;
+- ``pochhammer_inverse_series(n, "p", cap)`` for n in 0..cap+1 at the same caps,
+  ``joint_gf(k, cap)`` for k in 0..min(cap, 5) at caps 0, 5, 9 and 12, and
+  ``comaj_des_gf(k, cap)`` for k in 0..min(cap, 7) at caps 0, 5, 12 and 16.
 
     python3 tools/same_bytes.py
 
@@ -37,6 +40,8 @@ TABLE_FORMATS = (["--format", "grid"], ["--format", "csv"], ["--format", "csv", 
                  ["--format", "json"])
 SERIES_CAPS = (0, 5, 12, 16, 24)
 CARLITZ_KS = range(9)
+JOINT_CAPS = (0, 5, 9, 12)
+COMAJ_DES_CAPS = (0, 5, 12, 16)
 
 
 def calls() -> list[list[str]]:
@@ -77,6 +82,15 @@ def library_values(compstats):
         yield compstats.des_gf_total_rational(cap)
     for k in CARLITZ_KS:
         yield compstats.maj_inv_poly_carlitz(k)
+    for cap in SERIES_CAPS:
+        for n in range(cap + 2):
+            yield compstats.pochhammer_inverse_series(n, "p", cap)
+    for cap in JOINT_CAPS:
+        for k in range(min(cap, 5) + 1):
+            yield compstats.joint_gf(k, cap)
+    for cap in COMAJ_DES_CAPS:
+        for k in range(min(cap, 7) + 1):
+            yield compstats.comaj_des_gf(k, cap)
 
 
 def main() -> int:

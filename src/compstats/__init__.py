@@ -17,7 +17,7 @@ _SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracle
 _SOURCES = {
     name: module
     for module, names in (
-        ("polynomial", "Poly Series divexact geometric_series"),
+        ("polynomial", "Poly Series divexact"),
         ("qanalog", "gaussian_binomial pochhammer_inverse_series q_factorial"),
         ("partitions", "b_statistic enumerate_standard_tableaux hook_lengths "
                        "partitions_of q_eulerian_weight syt_count syt_count_q "

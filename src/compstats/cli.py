@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to k-part compositions")
     table.add_argument("--format", choices=("csv", "json", "grid"), default="grid")
     table.add_argument("--dense", action="store_true",
-                       help="pad CSV output with explicit zero entries")
+                       help="pad CSV output with explicit zero entries (csv only)")
     table.set_defaults(func=cmd_table)
 
     bij = sub.add_parser("bij", help="run the composition -> (permutation, partition) bijection")
@@ -398,6 +398,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         bound("--max-n", args.max_n, "table")
         if args.k is not None:
             bound("--k", args.k)
+        if args.dense and args.format != "csv":
+            parser.error("--dense applies only to --format csv")
     elif args.command == "oeis-check":
         bound("--max-n", args.max_n)  # the library refuses one above its table limit
     elif args.command == "verify":

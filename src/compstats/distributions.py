@@ -182,39 +182,38 @@ def des_gf_total(cap: int) -> Series:
 
 
 def des_gf_total_rational(cap: int) -> Series:
-    """The descent series from its rational form, solved order by order in q.
+    """The descent series from its rational form, solved order by order in q on packed rows.
 
-    Assembles the denominator D(q, t) = sum_j q^C(j+1,2) (t-1)^j / (q)_j - t
-    as a truncated series and solves D * X = 1 - t for X; the constant
-    q-coefficient of D must be exactly 1 - t for the solve to start; cap has des_gf_total's limit.
+    The denominator D(q, t) = sum_j q^C(j+1,2) (t-1)^j / (q)_j - t, cut at q^cap, is one packed
+    t-polynomial D_m per power q^m, with signed coefficients; D_0 must be exactly 1 - t.  Then
+    D * X = 1 - t is solved one power of q at a time: X_n is -sum_{m=1..n} D_m X_{n-m} divided
+    by 1 - t.  A packed polynomial is its value at t = 2^SLOT_BITS, so the integer remainder is
+    the numerator's value at t = 1 modulo 2^SLOT_BITS - 1.  In absolute value that value is at
+    most sum_m |D_m|_1 X_{n-m}(1) < 2^25 at cap 24, where |D_m|_1 sums D_m's absolute
+    coefficients, so the division is exact when, and only when, 1 - t divides the numerator.
+    The signed intermediates are never unpacked; the count rows X_n are, and stay below 2^23.
+    cap has des_gf_total's limit.
     """
-    from .polynomial import Poly, Series, divexact
+    from .polynomial import Series
 
     check_size("table", "cap", cap)
-    t_var = Poly.variable("t")
-    denominator = Series(-t_var, "q", cap)
+    one_minus_t = pack([1, -1])
+    by_q = [-pack([0, 1])] + [0] * cap
     j = 0
     while comb(j + 1, 2) <= cap:
-        term = (pochhammer_inverse_series(j, "q", cap)
-                * (Poly.variable("q", comb(j + 1, 2)) * (t_var - 1) ** j))
-        denominator = denominator + term
+        shift, factor = comb(j + 1, 2), (-one_minus_t) ** j
+        for m, c in enumerate(over_pochhammer([1] + [0] * (cap - shift), j), start=shift):
+            by_q[m] += c * factor
         j += 1
-    by_q = denominator.body.coefficients_in("q")
-    d_0 = 1 - t_var
-    if by_q.get(0, Poly.zero()) != d_0:
-        raise InexactDivision(
-            f"constant q-coefficient of the denominator is {by_q.get(0, Poly.zero())}, "
-            "expected 1 - t")
-    coefficients: list[Poly] = [Poly.one()]
+    if by_q[0] != one_minus_t:
+        raise InexactDivision("constant q-coefficient of the denominator is not the expected 1 - t")
+    rows = [1]
     for n in range(1, cap + 1):
-        rhs = Poly.zero()
-        for m in range(1, n + 1):
-            d_m = by_q.get(m)
-            if d_m is not None:
-                rhs = rhs - d_m * coefficients[n - m]
-        coefficients.append(divexact(rhs, d_0, "t"))
-    return Series(sum((Poly.variable("q", n) * c for n, c in enumerate(coefficients)), Poly.zero()),
-                  "q", cap)
+        row, remainder = divmod(-sum(map(mul, by_q[n:0:-1], rows)), one_minus_t)
+        if remainder:
+            raise InexactDivision(f"1 - t does not divide the q^{n} numerator")
+        rows.append(row)
+    return Series(_poly(map(unpack, rows), "q", "t"), "q", cap)
 
 
 def _over_k_partitions(limit: str, k: int, cap: int, stats: tuple[str, ...],

@@ -15,10 +15,6 @@ class CapVarMismatch(CompstatsError):
     """Arithmetic between truncated series with different cap variables."""
 
 
-class NonConvergent(CompstatsError):
-    """Geometric expansion of a monomial that never exceeds the cap."""
-
-
 class InexactDivision(CompstatsError):
     """A division that must be exact left a remainder (implementation bug)."""
 

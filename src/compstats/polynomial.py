@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 
-from .errors import CapVarMismatch, InexactDivision, NonConvergent, check_nonnegative
+from .errors import CapVarMismatch, InexactDivision, check_nonnegative
 
 VARIABLES = ("p", "q", "t", "u", "v")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -372,27 +372,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self})"
-
-
-def geometric_series(exponents: Mapping[str, int], cap_var: str, cap: int) -> Series:
-    """Expansion of 1/(1 - m) for the monomial m, truncated at ``cap`` in ``cap_var``.
-
-    The monomial must have a positive exponent in the cap variable so the
-    expansion terminates; otherwise the request is rejected as non-convergent.
-    """
-    key = monomial_key(exponents)
-    idx = _index(cap_var)
-    step = key[idx]
-    if step <= 0:
-        raise NonConvergent(
-            f"monomial {monomial_exponents(key)} has no {cap_var!r} part; "
-            "its geometric series does not terminate under the cap")
-    terms: dict[Monomial, int] = {}
-    power = _CONST_KEY
-    while power[idx] <= cap:
-        terms[power] = 1
-        power = tuple(a + b for a, b in zip(power, key))
-    return Series(Poly(terms), cap_var, cap)
 
 
 def from_coefficients(coefficients: Iterable[int], var: str) -> Poly:

@@ -66,6 +66,15 @@ def test_table_csv(capsys):
     assert "5,1,9" in lines
 
 
+def test_table_dense_outside_csv_is_usage_error(capsys):
+    # --dense pads csv rows only, so with any other format it is refused, not ignored
+    for fmt in (["--format", "grid"], ["--format", "json"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "ic", "--max-n", "3", *fmt, "--dense"])
+        assert exc.value.code == 2
+        assert "--dense applies only to --format csv" in capsys.readouterr().err
+
+
 def test_table_json_with_k(capsys):
     code, out, _ = run(capsys, "table", "ic", "--max-n", "6", "--k", "2",
                        "--format", "json")

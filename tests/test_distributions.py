@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from compstats import distributions, oracles, partitions, qanalog
+from compstats import distributions, oracles, partitions, polynomial, qanalog
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
     SLOT_BITS,
@@ -260,10 +260,34 @@ def test_des_gf_total_spot_values():
 def test_rational_route_broken_denominator_is_an_internal_error(monkeypatch):
     # the constant q-coefficient of the denominator is 1 - t by construction, so any other
     # value is a bug in the route, not a usage error
-    monkeypatch.setattr(distributions, "pochhammer_inverse_series",
-                        lambda n, var, cap: 2 * pochhammer_inverse_series(n, var, cap))
+    over_pochhammer = distributions.over_pochhammer
+    monkeypatch.setattr(distributions, "over_pochhammer",
+                        lambda coefficients, n: [2 * c for c in over_pochhammer(coefficients, n)])
     with pytest.raises(InexactDivision, match="expected 1 - t"):
         des_gf_total_rational(4)
+
+
+def test_rational_route_checks_every_order(monkeypatch):
+    # a j = 0 term of 1 + q leaves D_0 = 1 - t but adds 1 to D_1 = t - 1, so 1 - t no longer
+    # divides the q^1 numerator -D_1 = -t
+    over_pochhammer = distributions.over_pochhammer
+
+    def one_plus_q_at_j_0(coefficients, n):
+        return over_pochhammer(coefficients, n) if n else [1, 1] + [0] * (len(coefficients) - 2)
+
+    monkeypatch.setattr(distributions, "over_pochhammer", one_plus_q_at_j_0)
+    with pytest.raises(InexactDivision, match="q\\^1 numerator"):
+        des_gf_total_rational(4)
+
+
+def test_rational_route_runs_on_packed_rows(monkeypatch):
+    # the route solves on packed ints: no Poly division and no Series sums
+    def refuse(*args):
+        raise AssertionError("the rational route left the packed rows")
+
+    monkeypatch.setattr(polynomial, "divexact", refuse)
+    monkeypatch.setattr(Series, "__add__", refuse)
+    assert des_gf_total_rational(LIMITS["table"]) == des_gf_total(LIMITS["table"])
 
 
 def test_comaj_des_gf_matches_brute_force():
@@ -594,6 +618,28 @@ def test_inversion_totals_match_the_integer_dp_at_the_limit(clear_memos):
     assert by_nk == {(n, k): weighted.get((n, k), 0)
                      for n in range(1, cap + 1) for k in range(1, n + 1)}
     assert by_n == {n: sum(weighted.get((n, k), 0) for k in range(n + 1)) for n in range(cap + 1)}
+
+
+def _compositions(m, j):
+    # c(m, j), the number of j-compositions of m
+    return comb(m - 1, j - 1) if m >= j >= 1 else int(m == j == 0)
+
+
+def test_the_two_kernels_agree_on_first_moments_at_the_limit():
+    # reversal pairs each inversion (descent) with a strict non-inversion (ascent), and e
+    # k-compositions of n tie at any given pair of positions (those whose first two parts are
+    # equal), so 2 inv_total = C(k, 2) (c - e) and 2 des_total = (k - 1) (c - e) with
+    # c = C(n - 1, k - 1): 2 inv_total = k des_total ties the hook kernel to the q-Eulerian one
+    cap = LIMITS["table"]
+    _, inv_totals = inversion_totals(cap)
+    for k in range(1, cap + 1):
+        descents = DistTable.descents(cap, k)
+        for n in range(k, cap + 1):
+            des_total = sum(r * count for r, count in enumerate(descents.row(n)))
+            c = _compositions(n, k)
+            e = sum(_compositions(n - 2 * a, k - 2) for a in range(1, n // 2 + 1))
+            assert 2 * inv_totals[(n, k)] == k * des_total == comb(k, 2) * (c - e), (n, k)
+            assert 2 * des_total == (k - 1) * (c - e), (n, k)
 
 
 def test_dist_table_counts_and_rows():

@@ -7,13 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from compstats.compositions import compositions_of
 from compstats.distributions import SLOT_BITS, pack, unpack
-from compstats.errors import LIMITS, CapVarMismatch, InexactDivision, NonConvergent
+from compstats.errors import LIMITS, CapVarMismatch, InexactDivision
 from compstats.polynomial import (
     VARIABLES,
     Poly,
     Series,
     divexact,
-    geometric_series,
     monomial_exponents,
     monomial_key,
     p,
@@ -135,7 +134,6 @@ def test_unknown_variable_names_raise_value_error():
         lambda: x.rename({"p": "x"}),
         lambda: Poly.zero().degree("x"),
         lambda: Series(x, "x", 2),
-        lambda: geometric_series({"p": 1}, "x", 3),
         lambda: divexact(q, q, "x"),
         lambda: divexact(p * q, q, "x"),
     ]
@@ -253,26 +251,6 @@ def test_series_truncation_laws(a, b, cap_a, cap_b, var, other_var):
             x * Series(b, other_var, cap_b)
         with pytest.raises(CapVarMismatch):
             x + Series(b, other_var, cap_b)
-
-
-def test_geometric_series_examples():
-    assert geometric_series({"p": 1}, "p", 3).body == 1 + p + p ** 2 + p ** 3
-    assert geometric_series({"p": 2}, "p", 3).body == 1 + p ** 2
-    expected = 1 + p * q + p ** 2 * q ** 2
-    assert geometric_series({"p": 1, "q": 1}, "p", 2).body == expected
-
-
-def test_geometric_series_nonconvergent():
-    with pytest.raises(NonConvergent):
-        geometric_series({"q": 1}, "p", 3)
-
-
-@given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 8))
-def test_geometric_series_inverts_one_minus_m(step, qexp, cap):
-    m = {"p": step, "q": qexp}
-    series = geometric_series(m, "p", cap)
-    one_minus = Series(1 - Poly({monomial_key(m): 1}), "p", cap)
-    assert (series * one_minus) == Series.one("p", cap)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ totals the library returns:
 - ``oeis-check`` on the five fixture b-files at ``--max-n`` 0, 1, 5, 12 and 16;
 - ``inv_gf``, ``inv_gf_total``, ``des_gf``, ``des_gf_total`` and
   ``inversion_totals`` at caps 0, 5, 12, 16 and 24, every k in 0..cap;
-- the cross-check routes ``des_gf_total_rational`` at the same caps and
+- the cross-check routes ``des_gf_total_rational`` at every cap 0..24 and
   ``maj_inv_poly_carlitz`` at k 0..8;
 - ``pochhammer_inverse_series(n, "p", cap)`` for n in 0..cap+1 at the same caps,
   ``joint_gf(k, cap)`` for k in 0..min(cap, 5) at caps 0, 5, 9 and 12, and
@@ -39,6 +39,7 @@ SEQUENCES = ("A189052", "A189073", "A189074", "A238343", "A238344")
 TABLE_FORMATS = (["--format", "grid"], ["--format", "csv"], ["--format", "csv", "--dense"],
                  ["--format", "json"])
 SERIES_CAPS = (0, 5, 12, 16, 24)
+RATIONAL_CAPS = range(25)
 CARLITZ_KS = range(9)
 JOINT_CAPS = (0, 5, 9, 12)
 COMAJ_DES_CAPS = (0, 5, 12, 16)
@@ -78,7 +79,7 @@ def library_values(compstats):
         yield compstats.inv_gf_total(cap)
         yield compstats.des_gf_total(cap)
         yield compstats.inversion_totals(cap)
-    for cap in SERIES_CAPS:
+    for cap in RATIONAL_CAPS:
         yield compstats.des_gf_total_rational(cap)
     for k in CARLITZ_KS:
         yield compstats.maj_inv_poly_carlitz(k)

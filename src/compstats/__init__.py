@@ -11,7 +11,7 @@ import the others: a table call loads neither ``polynomial`` nor ``oracles``.
 """
 
 _SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracles",
-               "partitions", "permutations", "polynomial", "qanalog", "statistics")
+               "partitions", "permutations", "polynomial", "qanalog", "statistics", "suites")
 
 # public name -> the submodule that defines it
 _SOURCES = {

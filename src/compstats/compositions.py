@@ -11,11 +11,14 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 from operator import sub
+from typing import TYPE_CHECKING
 
 from . import statistics
 from .errors import EmptyComposition, LengthMismatch, check_nonnegative, check_partition, check_size
 from .permutations import Permutation, check_permutation
-from .polynomial import Series
+
+if TYPE_CHECKING:
+    from .polynomial import Series
 
 Composition = tuple[int, ...]
 
@@ -52,11 +55,11 @@ def parse_composition(text: str) -> Composition:
     stripped = text.strip()
     if not stripped:
         return ()
-    try:
-        parts = tuple(int(piece) for piece in stripped.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed composition literal {text!r}") from exc
-    return check_composition(parts)
+    # int() would also take signs, "_" separators and non-ASCII digits
+    pieces = [piece.strip() for piece in stripped.split(",")]
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+        raise ValueError(f"malformed composition literal {text!r}")
+    return check_composition(map(int, pieces))
 
 
 def format_composition(sigma: Sequence[int]) -> str:
@@ -134,6 +137,8 @@ def statistic_distribution(k: int, cap: int, stats: Sequence[str],
 
     ``stats`` must contain "sum"; its variable becomes the series cap variable.
     """
+    from .polynomial import Series
+
     check_size("compositions", "cap", cap)
     if "sum" not in stats:
         raise ValueError('the "sum" statistic is required to anchor the truncation')

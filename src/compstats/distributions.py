@@ -15,7 +15,6 @@ nothing beyond the cap is claimed.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Iterable
 from functools import lru_cache
@@ -355,4 +354,6 @@ class DistTable:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj())

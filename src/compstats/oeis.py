@@ -1,9 +1,10 @@
 """OEIS b-file parsing and cross-checks against the composition-count closed forms.
 
-A b-file lists one ``index value`` pair per line, '#' comments ignored.  The
-mapping from a sequence id to the quantity computed here, together with the
-index offset and triangle reading order, comes from fixture metadata; the
-:data:`SEQUENCES` table provides the defaults the vendored fixtures use.
+A b-file lists one ``index value`` pair per line, each an optional sign and
+ASCII digits, '#' comments ignored.  The mapping from a sequence id to the
+quantity computed here, together with the index offset and triangle reading
+order, comes from fixture metadata; the :data:`SEQUENCES` table provides the
+defaults the vendored fixtures use.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFile:
     """Parse b-file text; raises BFileParseError naming the offending line."""
     rows: list[tuple[int, int]] = []
     previous: int | None = None
+    # int() would also take "_" separators and non-ASCII digits; a text with
+    # neither needs no test per line, which keeps this loop, most of a warm
+    # oeis check, as cheap as before
+    screen = "_" in text or not text.isascii()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         pieces = raw.split()
         if not pieces or pieces[0][0] == "#":
@@ -50,6 +55,8 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFile:
             raise BFileParseError(
                 f"line {line_number}: expected 'index value', got {raw!r}")
         try:
+            if screen and ("_" in raw or not (pieces[0] + pieces[1]).isascii()):
+                raise ValueError
             index, value = int(pieces[0]), int(pieces[1])
         except ValueError:
             raise BFileParseError(

@@ -10,8 +10,12 @@ conventions.  :data:`STATISTICS` names them; :mod:`.permutations` and
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from .polynomial import Poly, monomial_key
+# only distribution builds a Poly, so only it imports polynomial, when called:
+# bij and the suites that compare no polynomials never compile it
+if TYPE_CHECKING:
+    from .polynomial import Poly
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -58,6 +62,8 @@ STATISTICS: dict[str, Statistic] = {
 def distribution(objects: Iterable[Sequence[int]], stats: Sequence[str],
                  variables: Sequence[str], table: Mapping[str, Statistic]) -> Poly:
     """Sum over ``objects`` of prod var_i^stat_i, the statistics looked up by name in ``table``."""
+    from .polynomial import Poly, monomial_key
+
     if len(stats) != len(variables):
         raise ValueError("need exactly one variable per statistic")
     if len(set(variables)) != len(variables):

@@ -145,6 +145,11 @@ def test_bij_malformed_input(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "bij", "")
     assert code == 2
+    # int() reads these parts as 10, 3 and 1; a part is plain ASCII digits
+    for literal in ("1_0", "\uff13", "2,+1"):
+        code, out, err = run(capsys, "bij", literal)
+        assert (code, out) == (2, "")
+        assert f"malformed composition literal {literal!r}" in err
 
 
 def test_verify_single_suites(capsys):
@@ -222,6 +227,20 @@ def test_verify_all_reports_every_suite(capsys):
     assert lines[5] == "ERROR jointstat: cap 4 cannot hold the leading term of degree 5"
 
 
+def test_verify_all_runs_each_suite_once(capsys, monkeypatch):
+    from compstats import cli, suites
+
+    checks = {name.removeprefix("check_") for name in vars(suites) if name.startswith("check_")}
+    assert checks == set(cli.SUITES)
+    calls = []
+    for name in checks:
+        monkeypatch.setattr(suites, f"check_{name}",
+                            lambda *bounds, name=name: calls.append(name) or (True, ""))
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert calls == list(cli.SUITES)
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
     from compstats import partitions
 
@@ -258,18 +277,18 @@ def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
 def test_foata_check_validates_each_permutation_once(monkeypatch):
     from math import factorial
 
-    from compstats import cli, permutations
+    from compstats import permutations, suites
     from compstats.statistics import descent_set
 
     for k in range(7):
         for pi in permutations.all_permutations(k):
-            assert (cli._inverse_descent_set(pi)
+            assert (suites._inverse_descent_set(pi)
                     == descent_set(permutations.inverse_permutation(pi)))
     checked = []
     check = permutations.check_permutation
     monkeypatch.setattr(permutations, "check_permutation",
                         lambda pi: checked.append(1) or check(pi))
-    assert cli._check_foata(5) == (True, "S_k for k 0..5")
+    assert suites.check_foata(5) == (True, "S_k for k 0..5")
     # foata(pi) checks pi and foata_inverse checks its image, nothing else
     assert len(checked) == 2 * sum(factorial(k) for k in range(6))
 
@@ -308,7 +327,7 @@ def test_foata_suite_checks_the_round_trip(capsys, monkeypatch):
 
 
 def test_first_poly_difference_message():
-    from compstats.cli import _first_poly_difference
+    from compstats.suites import _first_poly_difference
     from compstats.polynomial import p, q
 
     message = _first_poly_difference(1 + 2 * p * q, 1 + 3 * p * q)

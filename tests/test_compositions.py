@@ -241,6 +241,7 @@ def test_composition_equidistribution_sum_inv_maj_comaj():
 def test_parse_and_format():
     assert parse_composition("4,2,1,2,1,5,3") == (4, 2, 1, 2, 1, 5, 3)
     assert parse_composition(" 5 ") == (5,)
+    assert parse_composition(" 3 , 1") == (3, 1)
     assert format_composition((4, 2, 1)) == "4,2,1"
     with pytest.raises(ValueError):
         parse_composition("4,x,1")
@@ -248,3 +249,7 @@ def test_parse_and_format():
         parse_composition("4,,1")
     with pytest.raises(ValueError):
         parse_composition("0,2")
+    # int() takes "_" separators, signs and non-ASCII digits; a part does not
+    for literal in ("1_0", "\uff13", "4,\u0663", "+3", "-3,1"):
+        with pytest.raises(ValueError, match="malformed composition literal"):
+            parse_composition(literal)

@@ -11,11 +11,12 @@ import compstats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the modules a table call may load beyond argparse, json and what they pull
-# in; __future__ comes with ``from __future__ import annotations``, and a bare
+# the modules a table call may load beyond argparse and what it pulls in;
+# __future__ comes with ``from __future__ import annotations``, and a bare
 # interpreter may already hold math and collections.abc.  The table path works
 # on packed ints, so it never loads polynomial; hk builds a Poly from the same
-# kernel, so it adds polynomial alone
+# kernel, so it adds polynomial alone.  Only JSON output loads json, and only
+# verify loads its suites
 TABLE_PATH = {
     "compstats", "compstats.cli", "compstats.errors", "compstats.qanalog",
     "compstats.partitions", "compstats.distributions",
@@ -24,7 +25,7 @@ TABLE_PATH = {
 HK_PATH = TABLE_PATH | {"compstats.polynomial"}
 NEVER_ON_TABLE_PATH = {
     "urllib.request", "compstats.oeis", "compstats.oracles", "compstats.permutations",
-    "compstats.compositions", "dataclasses",
+    "compstats.compositions", "compstats.suites", "dataclasses", "json",
 }
 BFILES = Path(__file__).parent / "data" / "oeis"
 
@@ -40,14 +41,15 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
 
 
 @pytest.mark.parametrize("argv", [("table", "ic", "--max-n", "4"), ("hk", "3"),
-                                  ("table", "dc", "--max-n", "4", "--k", "2")])
+                                  ("table", "dc", "--max-n", "4", "--k", "2"),
+                                  ("table", "ic", "--max-n", "4", "--format", "csv")])
 def test_cli_call_loads_only_what_its_subcommand_runs(argv):
     bare = loaded_modules("")
     stdlib = loaded_modules(
-        "import argparse, json\n"
+        "import argparse\n"
         "parser = argparse.ArgumentParser()\n"
         "parser.add_argument('--n')\n"
-        "json.dumps(parser.parse_args([]).n)\n")
+        "parser.parse_args([])\n")
     used = loaded_modules(
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     extra = used - bare
@@ -56,10 +58,12 @@ def test_cli_call_loads_only_what_its_subcommand_runs(argv):
 
 
 TABLE_MODULES = {name for name in TABLE_PATH if name.partition(".")[0] == "compstats"}
-ORACLE_MODULES = TABLE_MODULES | {"compstats.polynomial", "compstats.oracles"}
+ORACLE_MODULES = TABLE_MODULES | {"compstats.polynomial", "compstats.oracles",
+                                  "compstats.suites"}
 
 
-# oeis-check reads the same tables and totals; the identity suites run the oracles
+# oeis-check reads the same tables and totals; the identity suites run the
+# oracles from the verify suites
 @pytest.mark.parametrize("argv, modules", [
     (("oeis-check", "--seq", "A189073", "--bfile", str(BFILES / "b189073.txt"), "--max-n", "6"),
      TABLE_MODULES | {"compstats.oeis"}),
@@ -88,20 +92,24 @@ def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
 
 CLOSED_FORMS = {"compstats.distributions", "compstats.oracles", "compstats.partitions",
                 "compstats.qanalog"}
+NO_POLY = CLOSED_FORMS | {"compstats.polynomial"}
 
 
-# the compositions side imports check_partition from errors, not from partitions
+# the compositions side imports check_partition from errors, not from partitions;
+# statistics, permutations and compositions import polynomial only to build a
+# Poly or Series, which equidist does and the others do not
 @pytest.mark.parametrize("argv, never", [
-    (("verify", "--suite", "foata", "--k", "3"), CLOSED_FORMS),
+    (("verify", "--suite", "foata", "--k", "3"), NO_POLY),
     (("verify", "--suite", "equidist", "--k", "3", "--cap", "4"), CLOSED_FORMS),
-    (("verify", "--suite", "lemma", "--max-n", "4"), CLOSED_FORMS),
-    (("verify", "--suite", "macmahon", "--max-n", "4"), CLOSED_FORMS),
-    (("bij", "2,1"), CLOSED_FORMS),
+    (("verify", "--suite", "lemma", "--max-n", "4"), NO_POLY),
+    (("verify", "--suite", "macmahon", "--max-n", "4"), NO_POLY),
+    (("bij", "2,1"), NO_POLY),
 ])
 def test_enumerating_calls_do_not_load_the_closed_forms(argv, never):
     used = loaded_modules(
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
-    assert used & never == set()
+    assert used & (never | {"json"}) == set()
+    assert ("compstats.suites" in used) == (argv[0] == "verify")
 
 
 def test_every_public_name_resolves():

@@ -26,13 +26,20 @@ def test_parse_bfile_basic():
     bfile = parse_bfile("# comment\n1 1\n  #2 9\n 2  2 \n\n \t\n#\n3\t3\n", sequence_id="A000027")
     assert bfile.sequence_id == "A000027"
     assert bfile.rows == ((1, 1), (2, 2), (3, 3))
+    # a field may carry a sign, a comment any character, and any whitespace
+    # may separate the fields
+    assert (parse_bfile("# caf\u00e9_1\n-1 +2\n0\u00a0-3\n").rows
+            == ((-1, 2), (0, -3)))
 
 
 def test_parse_bfile_reports_line_numbers():
     for text, message in (
             ("1 1\n2 two\n", "line 2: non-integer field in '2 two'"),
             ("1 1\n  # note\n\n3 3 3\n", "line 4: expected 'index value', got '3 3 3'"),
-            ("5 1\n\t4 1 \n", "line 2: index 4 does not increase past 5")):
+            ("5 1\n\t4 1 \n", "line 2: index 4 does not increase past 5"),
+            # int() takes "_" separators and non-ASCII digits; a field does not
+            ("1_0 5\n", "line 1: non-integer field in '1_0 5'"),
+            ("1 5\n\uff11\uff11 2\n", "line 2: non-integer field in '\uff11\uff11 2'")):
         with pytest.raises(BFileParseError) as exc:
             parse_bfile(text)
         assert str(exc.value) == message

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or value mismatch, 2 usage or
 parse error (or a verification suite that raised one), 3 internal error: an
-invariant such as an exact division failed, which is a bug in this package.
+invariant such as an exact division failed, or a packed count outgrew its
+slot, which is a bug in this package.
 Output is deterministic: identical inputs produce identical bytes.
 """
 
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
-    except InexactDivision as exc:
+    except (InexactDivision, OverflowError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (NetworkUnavailable, ValueError, OSError) as exc:

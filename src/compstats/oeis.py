@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Mapping
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 from .distributions import DistTable, inversion_totals
 from .errors import BFileParseError, NetworkUnavailable, UnknownSequence
@@ -39,13 +41,25 @@ SEQUENCES: dict[str, dict] = {
 BFile = namedtuple("BFile", "sequence_id rows")
 
 
+# the memos of b-file and metadata texts are keyed by the whole text, so an
+# edited file is parsed again; eight entries hold the five fixtures and their
+# metadata.json with room to spare
+TEXT_MEMO_SIZE = 8
+
+
 def parse_bfile(text: str, sequence_id: str = "") -> BFile:
     """Parse b-file text; raises BFileParseError naming the offending line."""
+    return BFile(sequence_id=sequence_id, rows=_rows(text))
+
+
+@lru_cache(maxsize=TEXT_MEMO_SIZE)
+def _rows(text: str) -> tuple[tuple[int, int], ...]:
+    """The (index, value) rows of a b-file text, shared by every parse of that text; a
+    BFileParseError is raised again on every call, since lru_cache keeps no exception."""
     rows: list[tuple[int, int]] = []
     previous: int | None = None
     # int() would also take "_" separators and non-ASCII digits; a text with
-    # neither needs no test per line, which keeps this loop, most of a warm
-    # oeis check, as cheap as before
+    # neither needs no test per line
     screen = "_" in text or not text.isascii()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         pieces = raw.split()
@@ -66,7 +80,7 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFile:
                 f"line {line_number}: index {index} does not increase past {previous}")
         previous = index
         rows.append((index, value))
-    return BFile(sequence_id=sequence_id, rows=tuple(rows))
+    return tuple(rows)
 
 
 def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:
@@ -94,11 +108,27 @@ def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
     return parse_bfile(text, sequence_id=sequence_id)
 
 
-def load_metadata(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def load_metadata(path: str | Path) -> Mapping:
+    """The sequence metadata in the JSON file at ``path``, read-only at every level (objects
+    as mappings, arrays as tuples), so that every load of one text shares one parse."""
+    return _metadata(Path(path).read_text())
 
 
-def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> tuple[str, int, int]:
+@lru_cache(maxsize=TEXT_MEMO_SIZE)
+def _metadata(text: str) -> Mapping:
+    return _read_only(json.loads(text))
+
+
+def _read_only(value):
+    if isinstance(value, dict):
+        return MappingProxyType({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(map(_read_only, value))
+    return value
+
+
+def _sequence_meta(sequence_id: str,
+                   metadata: Mapping[str, Mapping] | None) -> tuple[str, int, int]:
     """The sequence's (quantity, n_start, offset): ``metadata`` overrides the :data:`SEQUENCES`
     defaults, and a mapping without n_start or offset starts both at 1.
 
@@ -122,9 +152,16 @@ def _sequence_meta(sequence_id: str, metadata: Mapping[str, dict] | None) -> tup
 
 
 def sequence_terms(sequence_id: str, max_n: int,
-                   metadata: Mapping[str, dict] | None = None) -> list[int]:
+                   metadata: Mapping[str, Mapping] | None = None) -> list[int]:
     """The artifact's values for the sequence, linearized to the b-file order."""
     quantity, n_start, _ = _sequence_meta(sequence_id, metadata)
+    # every n_start past max_n gives no terms, so they share one key, and the keys stay
+    # within the table limit that max_n is checked against
+    return list(_terms(quantity, min(n_start, max_n + 1), max_n))
+
+
+@lru_cache(maxsize=None)
+def _terms(quantity: str, n_start: int, max_n: int) -> tuple[int, ...]:
     terms: list[int] = []
     if quantity == "ic_total":
         by_n, _ = inversion_totals(max_n)
@@ -138,7 +175,7 @@ def sequence_terms(sequence_id: str, max_n: int,
         dist = (DistTable.inversions if quantity == "ic_triangle" else DistTable.descents)(max_n)
         for n in range(n_start, max_n + 1):
             terms.extend(dist.row(n))
-    return terms
+    return tuple(terms)
 
 
 # first_mismatch: None, or (index, b-file value, computed value)
@@ -156,7 +193,7 @@ class CheckReport(namedtuple("CheckReport", "sequence_id terms_checked agree fir
 
 
 def check_sequence(sequence_id: str, bfile: BFile, max_n: int,
-                   metadata: Mapping[str, dict] | None = None) -> CheckReport:
+                   metadata: Mapping[str, Mapping] | None = None) -> CheckReport:
     """Compare the b-file against computed values for all indices both cover."""
     _, _, offset = _sequence_meta(sequence_id, metadata)
     expected = sequence_terms(sequence_id, max_n, metadata)

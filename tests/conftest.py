@@ -1,16 +1,16 @@
 import pytest
 
-from compstats import distributions, oracles
+from compstats import distributions, oeis, oracles
 
 
 @pytest.fixture
 def clear_memos():
-    """clear() empties every lru_cache that compstats.distributions and compstats.oracles
-    define, so that the next table, series, totals or cross-check call runs the path a test
-    names instead of reading what an earlier test cached.  The memos are found by
-    introspection, so a renamed or added one is cleared too."""
+    """clear() empties every lru_cache that compstats.distributions, compstats.oeis and
+    compstats.oracles define, so that the next table, series, totals, cross-check or OEIS
+    call runs the path a test names instead of reading what an earlier test cached.  The
+    memos are found by introspection, so a renamed or added one is cleared too."""
     def clear() -> None:
-        for module in (distributions, oracles):
+        for module in (distributions, oeis, oracles):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                     value.cache_clear()

@@ -255,6 +255,19 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
     assert err == "internal error: the hook product of (1,) does not divide [1]_q!\n"
 
 
+@pytest.mark.parametrize("argv", [(), ("--k", "39")])
+def test_packed_slot_overflow_is_an_internal_error(capsys, monkeypatch, argv):
+    # past cap 50 the descent kernel's weights outgrow a 64-bit slot (from k = 39 on),
+    # and unpack refuses the wrapped-around word
+    from compstats import errors
+
+    monkeypatch.setitem(errors.LIMITS, "table", 51)
+    code, out, err = run(capsys, "table", "dc", "--max-n", "51", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+
+
 def test_verify_reports_failure_with_counterexample(capsys, monkeypatch):
     # force one identity check to fail and make sure the FAIL line and exit
     # code surface it

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import json
 import sys
 import urllib.request
 from pathlib import Path
@@ -161,3 +162,102 @@ def test_generate_fixtures_reproduces_the_bfiles(monkeypatch):
         assert [value for _, value in rows[:len(values)]] == values, sequence_id
         assert [index for index, _ in rows[:len(values)]] == list(range(1, len(values) + 1))
     assert sorted(FIXTURES.iterdir()) == listing
+
+
+# the memos behind a warm check: b-file rows and metadata keyed by their text,
+# terms by (quantity, n_start, max_n); none may serve a stale or shared-mutable result
+
+SEQUENCE_IDS = ("A189052", "A189073", "A189074", "A238343", "A238344")
+
+
+def test_load_bfile_reads_a_rewritten_file_again(tmp_path):
+    path = tmp_path / "b189052.txt"
+    path.write_text("1 0\n2 0\n3 1\n")
+    assert load_bfile(path).rows == ((1, 0), (2, 0), (3, 1))
+    path.write_text("1 0\n2 0\n3 999\n")
+    rewritten = load_bfile(path)
+    assert rewritten.rows == ((1, 0), (2, 0), (3, 999))
+    assert not check_sequence("A189052", rewritten, 5).agree
+
+
+def test_a_malformed_text_raises_on_every_parse():
+    for _ in range(2):
+        with pytest.raises(BFileParseError) as exc:
+            parse_bfile("1 1\n2 2\n3 x\n")
+        assert str(exc.value) == "line 3: non-integer field in '3 x'"
+
+
+def test_one_text_parsed_under_two_ids_keeps_each_id(tmp_path):
+    text = (FIXTURES / "b238343.txt").read_text()
+    for sequence_id in ("A238343", "A238344", "A238343"):
+        assert parse_bfile(text, sequence_id).sequence_id == sequence_id
+    copy = tmp_path / "b238344.txt"
+    copy.write_text(text)
+    first, second = load_bfile(FIXTURES / "b238343.txt"), load_bfile(copy)
+    assert (first.sequence_id, second.sequence_id) == ("A238343", "A238344")
+    assert first.rows == second.rows
+
+
+def test_load_metadata_is_read_only_at_every_level(tmp_path):
+    path = FIXTURES / "metadata.json"
+    metadata = load_metadata(path)
+    with pytest.raises(TypeError):
+        metadata["A189052"] = {"quantity": "dc_triangle"}
+    with pytest.raises(TypeError):
+        metadata["A189052"]["offset"] = 2
+    assert load_metadata(path) == json.loads(path.read_text())
+    # arrays become tuples, so nothing a load returns can be changed in place
+    listed = tmp_path / "metadata.json"
+    listed.write_text('{"A189052": {"quantity": "ic_total", "notes": [["a"], {"b": 1}]}}')
+    notes = load_metadata(listed)["A189052"]["notes"]
+    assert notes == (("a",), {"b": 1})
+    with pytest.raises(TypeError):
+        notes[1]["b"] = 2
+    assert check_sequence("A189052", load_bfile(FIXTURES / "b189052.txt"), 16,
+                          load_metadata(listed)).agree
+
+
+def test_sequence_terms_returns_a_fresh_list():
+    terms = sequence_terms("A189074", 5)
+    terms[0] = 99
+    terms.append(0)
+    assert sequence_terms("A189074", 5) == [1, 2, 3, 1, 5, 2, 1, 7, 5, 3, 1]
+
+
+def test_every_start_past_max_n_shares_one_terms_key(clear_memos):
+    from compstats.oeis import _terms
+
+    clear_memos()
+    for n_start in (6, 7, 50, 10**9):
+        metadata = {"A189074": {"quantity": "ic_triangle", "n_start": n_start}}
+        assert sequence_terms("A189074", 5, metadata) == []
+    assert _terms.cache_info().currsize == 1
+
+
+def test_text_memos_hold_the_five_fixtures_and_their_metadata(clear_memos):
+    from compstats.oeis import _metadata, _rows
+
+    clear_memos()
+    for _ in range(2):
+        for sequence_id in SEQUENCE_IDS:
+            load_bfile(FIXTURES / f"b{sequence_id[1:]}.txt")
+        load_metadata(FIXTURES / "metadata.json")
+    assert (_rows.cache_info().hits, _rows.cache_info().misses) == (5, 5)
+    assert (_metadata.cache_info().hits, _metadata.cache_info().misses) == (1, 1)
+
+
+def test_check_sequence_is_the_same_with_warm_and_cleared_memos(clear_memos):
+    metadata = load_metadata(FIXTURES / "metadata.json")
+    cold = {}
+    for sequence_id in SEQUENCE_IDS:
+        for max_n in range(17):
+            clear_memos()
+            bfile = load_bfile(FIXTURES / f"b{sequence_id[1:]}.txt")
+            cold[sequence_id, max_n] = check_sequence(sequence_id, bfile, max_n, metadata)
+    warm = {(sequence_id, max_n): check_sequence(
+                sequence_id, load_bfile(FIXTURES / f"b{sequence_id[1:]}.txt"), max_n, metadata)
+            for sequence_id in SEQUENCE_IDS for max_n in range(17)}
+    assert warm == cold
+    assert all(report.agree for report in warm.values())
+    assert [warm[sequence_id, max_n].terms_checked for sequence_id in ("A189052", "A238343")
+            for max_n in (0, 1, 16)] == [0, 1, 16, 0, 1, 56]

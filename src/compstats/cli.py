@@ -1,9 +1,9 @@
 """Command-line front end: tables, bijection round-trips, verification suites, OEIS checks.
 
-Exit codes: 0 success, 1 verification failure or value mismatch, 2 usage or
-parse error (or a verification suite that raised one), 3 internal error: an
-invariant such as an exact division failed, or a packed count outgrew its
-slot, which is a bug in this package.
+Exit codes: 0 success, 1 verification failure or value mismatch, 2 usage,
+parse or download error, 3 internal error (a bug in this package: an exact
+division left a remainder, or a packed count outgrew its slot), each read off
+the exception's base class; verify exits with the largest code of its suites.
 Output is deterministic: identical inputs produce identical bytes.
 """
 
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 # each subcommand imports what it runs, so a table never loads polynomial, the
 # verify suites, the oracles, or the enumeration or OEIS modules, and only JSON
 # output loads json
-from .errors import LIMITS, CompstatsError, InexactDivision, NetworkUnavailable
+from .errors import LIMITS, CompstatsError
 
 if TYPE_CHECKING:
     from .distributions import DistTable
@@ -134,7 +134,7 @@ SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import suites
 
-    failed = errored = False
+    code = EXIT_OK
     for name, bounds in SUITES.items():
         if args.suite not in ("all", name):
             continue
@@ -143,17 +143,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   for option, (default, _) in bounds.items()]
         try:
             ok, detail = getattr(suites, f"check_{name}")(*values)
-        except InexactDivision:
-            raise
-        except CompstatsError as exc:
-            print(f"ERROR {name}: {exc}", flush=True)
-            errored = True
+        except (ValueError, ArithmeticError) as exc:
+            fault = isinstance(exc, ArithmeticError)
+            print(f"ERROR {name}: {'internal error: ' if fault else ''}{exc}", flush=True)
+            code = max(code, EXIT_INTERNAL if fault else EXIT_USAGE)
             continue
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", flush=True)
-        failed = failed or not ok
-    if errored:
-        return EXIT_USAGE
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+        code = max(code, EXIT_OK if ok else EXIT_VERIFY_FAILED)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
-    except (InexactDivision, OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (NetworkUnavailable, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

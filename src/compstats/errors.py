@@ -1,7 +1,9 @@
 """Exception types and size limits shared across the library.
 
-Everything that signals a violated precondition derives from ValueError so
-callers who do not care about the fine distinction can catch that.
+An exception's category is its base class, and the CLI routes by category
+alone: a violated precondition derives from ValueError (exit 2), a failed
+internal invariant, which is a bug in this package, from ArithmeticError
+(exit 3), and a b-file download that failed from OSError (exit 2).
 """
 
 from collections.abc import Sequence
@@ -15,7 +17,7 @@ class CapVarMismatch(CompstatsError):
     """Arithmetic between truncated series with different cap variables."""
 
 
-class InexactDivision(CompstatsError):
+class InexactDivision(ArithmeticError):
     """A division that must be exact left a remainder (implementation bug)."""
 
 
@@ -51,18 +53,19 @@ class UnknownSequence(CompstatsError):
     pass
 
 
-class NetworkUnavailable(RuntimeError):
+class NetworkUnavailable(OSError):
     """Remote b-file fetch failed; use a local file instead."""
 
 
 # the largest size each enumeration or closed form accepts, by limit name; the
 # library enforces these through check_size and the CLI bounds read them too
 LIMITS = {
-    "table": 24,          # DistTable, inversion_totals, des_gf_total_rational, verify --cap,
-                          # genfuncid --k; the caps of verify_product_expansion and
-                          # verify_composition_count_identity, and the latter's k
+    "table": 24,          # DistTable, inversion_totals, des_gf_total_rational, partitions_of,
+                          # verify --cap, genfuncid --k; the caps of verify_product_expansion
+                          # and verify_composition_count_identity, and the latter's k
     "hk": 8,              # the S_k polynomials of hk and verify prod, geneuler; maj_inv_poly_carlitz,
-                          # verify_product_expansion's max_t, verify_q_eulerian_gf's max_order
+                          # verify_product_expansion's max_t, the max_order of
+                          # verify_q_eulerian_gf and check_q_exponential_inverse
     "joint": 7,           # joint_gf and verify jointstat, foata, equidist --k
     "comaj_des": 8,       # comaj_des_gf
     "permutations": 10,   # all_permutations

@@ -95,7 +95,6 @@ def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:
 def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
     """Download a b-file from oeis.org; the test suite never reaches the network."""
     # imported here so that only a fetch pays for loading the network stack
-    from urllib.error import URLError
     from urllib.request import urlopen
 
     digits = sequence_id.lstrip("A")
@@ -103,7 +102,7 @@ def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
     try:
         with urlopen(url, timeout=timeout) as response:
             text = response.read().decode("utf-8")
-    except (URLError, OSError, TimeoutError) as exc:
+    except OSError as exc:  # URLError and TimeoutError are OSErrors
         raise NetworkUnavailable(f"could not fetch {url}: {exc}") from exc
     return parse_bfile(text, sequence_id=sequence_id)
 

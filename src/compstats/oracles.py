@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .distributions import maj_inv_poly, q_eulerian_poly
-from .errors import check_nonnegative, check_size
+from .errors import check_size
 from .polynomial import Poly, Series, from_coefficients
 from .qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
 
@@ -109,9 +109,9 @@ def check_q_exponential_inverse(max_order: int) -> bool:
 
     The coefficient identity, cleared of factorial denominators, reads
     sum_{j=0..m} (-1)^j q^C(j,2) gauss(m, j) = 0 for every m >= 1.  Returns
-    True iff it holds for all 1 <= m <= max_order.
+    True iff it holds for all 1 <= m <= max_order; max_order has the hk limit.
     """
-    check_nonnegative("max_order", max_order)
+    check_size("hk", "max_order", max_order)
     for m in range(1, max_order + 1):
         total = Poly.zero()
         for j in range(m + 1):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import TYPE_CHECKING
 
-from .errors import EmptyPartition, InexactDivision, check_nonnegative, check_partition, check_size
+from .errors import EmptyPartition, InexactDivision, check_partition, check_size
 from .qanalog import q_multinomial, q_quotient
 
 # the hook kernel reads hook_quotient's lists, so syt_count_q alone imports polynomial, when called
@@ -35,8 +35,8 @@ def _descending_parts(n: int, largest: int) -> Iterator[Partition]:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in reverse-lexicographic order."""
-    check_nonnegative("n", n)
+    """All partitions of n, in reverse-lexicographic order; n has the table limit."""
+    check_size("table", "n", n)
     return tuple(_descending_parts(n, n))
 
 

@@ -115,15 +115,6 @@ class Poly:
     def variables_used(self) -> set[str]:
         return {name for name, column in zip(VARIABLES, zip(*self._terms)) if any(column)}
 
-    def coefficients_in(self, var: str) -> dict[int, Poly]:
-        """Split into {exponent of var: polynomial in the remaining variables}."""
-        idx = _index(var)
-        grouped: dict[int, dict[Monomial, int]] = {}
-        for key, coeff in self._terms.items():
-            rest = key[:idx] + (0,) + key[idx + 1:]
-            grouped.setdefault(key[idx], {})[rest] = coeff
-        return {e: Poly(terms) for e, terms in grouped.items()}
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -253,6 +254,50 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
     assert code == 3
     assert out == ""
     assert err == "internal error: the hook product of (1,) does not divide [1]_q!\n"
+
+
+def test_exception_base_classes_are_the_exit_code_categories():
+    from compstats.errors import CompstatsError, InexactDivision, NetworkUnavailable
+
+    assert issubclass(CompstatsError, ValueError)
+    assert issubclass(InexactDivision, ArithmeticError)
+    assert not issubclass(InexactDivision, ValueError)
+    assert issubclass(NetworkUnavailable, OSError)
+
+
+@pytest.mark.parametrize("failure", [urllib.error.URLError("no route to host"),
+                                     TimeoutError("timed out")])
+def test_failed_fetch_is_a_usage_error(capsys, monkeypatch, failure):
+    def refuse(url, timeout):
+        raise failure
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    code, out, err = run(capsys, "oeis-check", "--seq", "A189052", "--fetch")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: could not fetch https://oeis.org/A189052/b189052.txt: {failure}\n"
+
+
+def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, clear_memos):
+    from compstats import cli, partitions
+
+    # the same broken hooks: prod builds the hook sums, and no other suite reads them
+    hook_lengths = partitions.hook_lengths
+    monkeypatch.setattr(partitions, "hook_lengths",
+                        lambda shape: [[h + 1 for h in row] for row in hook_lengths(shape)])
+    clear_memos()
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 3
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"{'ERROR' if name == 'prod' else 'PASS'} {name}" for name in cli.SUITES]
+    assert lines[0] == "ERROR prod: internal error: the hook product of (1,) does not divide [1]_q!"
+    # a fault outranks a usage error (jointstat's cap below its k) in the exit code
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
+    assert code == 3
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("ERROR")] == [
+        "ERROR prod", "ERROR jointstat"]
 
 
 @pytest.mark.parametrize("argv", [(), ("--k", "39")])

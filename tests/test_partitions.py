@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from compstats.errors import EmptyPartition, TooLarge
+from compstats.errors import LIMITS, EmptyPartition, TooLarge
 from compstats.partitions import (
     b_statistic,
     conjugate,
@@ -30,6 +30,18 @@ def test_partitions_of_zero_and_small():
     assert partitions_of(0) == ((),)
     assert partitions_of(1) == ((1,),)
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+
+
+def test_partitions_of_refuses_a_size_past_the_table_limit(monkeypatch):
+    from compstats import partitions
+
+    def enumerate_nothing(n, largest):
+        raise AssertionError("the partitions were enumerated")
+
+    monkeypatch.setattr(partitions, "_descending_parts", enumerate_nothing)
+    over = LIMITS["table"] + 1
+    with pytest.raises(TooLarge, match=f"^n {over} exceeds the table limit {over - 1}$"):
+        partitions_of(over)
 
 
 def test_partition_counts():

@@ -127,7 +127,6 @@ def test_unknown_variable_names_raise_value_error():
     x = 1 + p * q
     calls = [
         lambda: x.degree("x"),
-        lambda: x.coefficients_in("x"),
         lambda: x.eval_at_one("x"),
         lambda: x.truncate({"x": 1}),
         lambda: x.rename({"x": "p"}),

@@ -3,7 +3,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from compstats.errors import InexactDivision, OutOfRange
+from compstats.errors import LIMITS, InexactDivision, OutOfRange, TooLarge
 from compstats.oracles import check_q_exponential_inverse
 from compstats.partitions import hook_lengths
 from compstats.polynomial import Poly, Series, from_coefficients, q
@@ -124,7 +124,23 @@ def test_q_quotient_refuses_a_series():
     # (1 - q) / (1 - q^2) = 1 / (1 + q) is no polynomial
     with pytest.raises(InexactDivision):
         q_quotient((1,), (2,))
+    # nor is (1 - q)^2 / (1 - q^2) = (1 - q) / (1 + q); its degree is 0, so only the
+    # coefficients past its degree show it
+    with pytest.raises(InexactDivision):
+        q_quotient((1, 1), (2,))
     assert q_quotient((2,), (1,)) == [1, 1]
+
+
+def test_q_exponential_inverse_refuses_an_order_past_the_hk_limit(monkeypatch):
+    from compstats import oracles
+
+    def refuse(n, k):
+        raise AssertionError("a Gaussian binomial was built")
+
+    monkeypatch.setattr(oracles, "gaussian_binomial", refuse)
+    over = LIMITS["hk"] + 1
+    with pytest.raises(TooLarge, match=f"^max_order {over} exceeds the hk limit {over - 1}$"):
+        check_q_exponential_inverse(over)
 
 
 def test_q_multinomial_refuses_negative_input():

@@ -246,26 +246,17 @@ def joint_gf(k: int, cap: int) -> Series:
                               ("p", "q", "t", "u", "v"))
 
 
-@lru_cache(maxsize=None)
-def _inversion_totals(cap: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], int], ...]]:
-    """The totals of :func:`inversion_totals`: the by-n values in order of n, and the
-    ((n, k), total) pairs."""
-    check_size("table", "cap", cap)
-    by_nk = tuple(((n, k), sum(map(mul, count(), row)))
-                  for k in range(1, cap + 1)
-                  for n, row in enumerate(_counts(_hook_sum, cap, k)[k:], start=k))
-    by_n = [0] * (cap + 1)
-    for (n, _), total in by_nk:
-        by_n[n] += total
-    return tuple(by_n), by_nk
-
-
 def inversion_totals(cap: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     """Total inversion counts, read off the k-part rows of :func:`inv_gf`: n -> inversions
     over all compositions of n (the sum of its k-part totals), and (n, k) -> inversions
     over all k-compositions of n (1 <= k <= n)."""
-    by_n, by_nk = _inversion_totals(cap)
-    return dict(enumerate(by_n)), dict(by_nk)
+    check_size("table", "cap", cap)
+    by_n, by_nk = dict.fromkeys(range(cap + 1), 0), {}
+    for k in range(1, cap + 1):
+        for n, row in enumerate(_counts(_hook_sum, cap, k)[k:], start=k):
+            by_nk[n, k] = total = sum(map(mul, count(), row))
+            by_n[n] += total
+    return by_n, by_nk
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .distributions import DistTable, inversion_totals
 from .errors import BFileParseError, NetworkUnavailable, UnknownSequence
 
 OEIS_BFILE_URL = "https://oeis.org/{seq}/b{digits}.txt"
+FETCH_TIMEOUT_S = 30.0
 
 # quantity: what the artifact computes for the sequence
 #   ic_total      ic(n), total inversions over all compositions of n
@@ -58,9 +59,6 @@ def _rows(text: str) -> tuple[tuple[int, int], ...]:
     BFileParseError is raised again on every call, since lru_cache keeps no exception."""
     rows: list[tuple[int, int]] = []
     previous: int | None = None
-    # int() would also take "_" separators and non-ASCII digits; a text with
-    # neither needs no test per line
-    screen = "_" in text or not text.isascii()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         pieces = raw.split()
         if not pieces or pieces[0][0] == "#":
@@ -69,7 +67,8 @@ def _rows(text: str) -> tuple[tuple[int, int], ...]:
             raise BFileParseError(
                 f"line {line_number}: expected 'index value', got {raw!r}")
         try:
-            if screen and ("_" in raw or not (pieces[0] + pieces[1]).isascii()):
+            # int() would also take "_" separators and non-ASCII digits
+            if "_" in raw or not (pieces[0] + pieces[1]).isascii():
                 raise ValueError
             index, value = int(pieces[0]), int(pieces[1])
         except ValueError:
@@ -92,7 +91,7 @@ def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:
     return parse_bfile(path.read_text(), sequence_id=sequence_id)
 
 
-def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
+def fetch_bfile(sequence_id: str) -> BFile:
     """Download a b-file from oeis.org; the test suite never reaches the network."""
     # imported here so that only a fetch pays for loading the network stack
     from urllib.request import urlopen
@@ -100,7 +99,7 @@ def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> BFile:
     digits = sequence_id.lstrip("A")
     url = OEIS_BFILE_URL.format(seq=sequence_id, digits=digits)
     try:
-        with urlopen(url, timeout=timeout) as response:
+        with urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             text = response.read().decode("utf-8")
     except OSError as exc:  # URLError and TimeoutError are OSErrors
         raise NetworkUnavailable(f"could not fetch {url}: {exc}") from exc

@@ -1,5 +1,6 @@
 import functools
 import json
+from itertools import accumulate
 from math import comb, factorial
 
 import pytest
@@ -435,6 +436,13 @@ def test_tables_above_the_cap_add_one_memo_entry(clear_memos):
     assert memo_entries() <= 1
 
 
+def test_the_count_rows_are_the_only_distributions_memo():
+    # inversion_totals keeps no memo of its own: every call sums the memoised rows again
+    memos = [name for name, value in vars(distributions).items()
+             if hasattr(value, "cache_info") and value.__module__ == distributions.__name__]
+    assert memos == ["_counts"]
+
+
 def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):
     # tables and totals read the packed kernels; cold caches rebuild them too
     calls = []
@@ -645,6 +653,31 @@ def test_the_two_kernels_agree_on_first_moments_at_the_limit():
             e = sum(_compositions(n - 2 * a, k - 2) for a in range(1, n // 2 + 1))
             assert 2 * inv_totals[(n, k)] == k * des_total == comb(k, 2) * (c - e), (n, k)
             assert 2 * des_total == (k - 1) * (c - e), (n, k)
+
+
+def _signed_row_sums(k, length):
+    # the first ``length`` coefficients of (1 - x)^-ceil(k/2) (1 + x)^-floor(k/2): each factor
+    # 1/(1 - x) is a running sum, and each 1/(1 + x) a running alternating difference
+    coefficients = [1] + [0] * (length - 1)
+    for sign in [1, -1] * (k // 2) + [1] * (k % 2):
+        coefficients = list(accumulate(coefficients, lambda acc, c, sign=sign: c + sign * acc))
+    return coefficients
+
+
+def test_signed_row_sums_at_the_limit():
+    # at q = -1 the hook kernel of S_k is the signed Mahonian prod_{i<=k} [i]_{(-1)^(i-1) p}
+    # (Wachs 1992; Adin, Gessel and Roichman, Signed Mahonians), so over (p; p)_k each odd i
+    # leaves 1/(1 - p) and each even i 1/(1 + p): sum_r (-1)^r c(n, k, r) is the coefficient
+    # of p^(n-k) in (1 - p)^-ceil(k/2) (1 + p)^-floor(k/2), and over all k it is 2^floor(n/2)
+    cap = LIMITS["table"]
+
+    def signed(row):
+        return sum(c if r % 2 == 0 else -c for r, c in enumerate(row))
+
+    for k in range(cap + 1):
+        rows = DistTable.inversions(cap, k).rows[k:]
+        assert list(map(signed, rows)) == _signed_row_sums(k, cap - k + 1), k
+    assert list(map(signed, DistTable.inversions(cap).rows)) == [2 ** (n // 2) for n in range(cap + 1)]
 
 
 def test_dist_table_counts_and_rows():

@@ -45,6 +45,8 @@ MUTANTS = [
      "_hook_sum drops the shapes whose second row equals the first"),
     (DIST, "for m in range(min(k - 1, max_p) + 1):", "for m in range(min(k - 1, max_p, 8) + 1):",
      "_hook_sum skips m > 8, which changes only the inversion rows n > 16"),
+    (DIST, "if mu and mu[0] > k - m:", "if mu and mu[0] > k - m or (k, m) == (7, 2):",
+     "_hook_sum drops the m = 2 shapes at k = 7"),
     (DIST, "for c in range(1, s - j + 2)", "for c in range(1, s - j + 1)",
      "_q_eulerian_sum leaves the largest part c out of W[s][j]"),
     (DIST, "<< (SLOT_BITS * (j - 1)) for j in range(1, k + 1)]",
@@ -60,9 +62,9 @@ MUTANTS = [
      "the rational route drops the last term of its denominator at a triangular cap"),
     (DIST, "if by_q[0] != one_minus_t:", "if False:",
      "the rational route no longer checks D_0 = 1 - t"),
-    (DIST, "enumerate(_counts(_hook_sum, cap, k)[k:], start=k))",
-     "enumerate(_counts(_hook_sum, cap, k)[k:cap], start=k))",
-     "_inversion_totals leaves out n = cap"),
+    (DIST, "enumerate(_counts(_hook_sum, cap, k)[k:], start=k):",
+     "enumerate(_counts(_hook_sum, cap, k)[k:cap], start=k):",
+     "inversion_totals leaves out n = cap"),
     ("src/compstats/partitions.py", "(cols[j] - i - 1) + 1 for j in range(row_len)]",
      "(cols[j] - i) + 1 for j in range(row_len)]",
      "every leg of a hook is one cell too long"),

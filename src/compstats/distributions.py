@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import count, zip_longest
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import CapTooSmall, InexactDivision, check_nonnegative, check_size
@@ -131,20 +131,22 @@ def _check_leading(k: int | None, cap: int) -> None:
 @lru_cache(maxsize=None)
 def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     """Row n lists the counts of the (k-)compositions of n by the kernel's statistic r, up to
-    the last nonzero one.  The j-compositions contribute x^j K_j / (x)_j: the kernel K_j, cut at
-    min(cap - j, C(j, 2)) (its degree is C(j, 2)) and padded to cap - j + 1 entries, is divided
-    by (x)_j in place and added at offset j.  Packed counts stay below
-    2^(cap-1) < 2^SLOT_BITS.  The rows are shared: callers read them, never copy them."""
+    the last nonzero one.  The k-compositions contribute x^k K_k / (x)_k: the kernel K_k, cut at
+    min(cap - k, C(k, 2)) (its degree is C(k, 2)) and padded to cap - k + 1 entries, is divided
+    by (x)_k in place; rows n < k are empty, and so is every row for k > cap.  Packed counts
+    stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of k = 0..cap + 1,
+    so an all-k table leaves the rows of every `--k` read at its cap in the memo.  The rows are
+    shared: callers read them, never copy them."""
     check_size("table", "cap", cap)
-    if k is not None:
-        check_nonnegative("k", k)
-    rows = [0] * (cap + 1)
-    for j in range(cap + 1):
-        if k in (None, j):
-            kern = kernel(j, min(cap - j, comb(j, 2)))
-            series = over_pochhammer(list(kern) + [0] * (cap - j + 1 - len(kern)), j)
-            rows[j:] = map(add, rows[j:], series)
-    return tuple(map(tuple, map(unpack, rows)))
+    if k is None:
+        by_k = [_counts(kernel, cap, j) for j in range(cap + 2)]
+        return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0))) for rows in zip(*by_k))
+    check_nonnegative("k", k)
+    if k > cap:
+        return ((),) * (cap + 1)
+    kern = kernel(k, min(cap - k, comb(k, 2)))
+    series = over_pochhammer(list(kern) + [0] * (cap - k + 1 - len(kern)), k)
+    return ((),) * k + tuple(map(tuple, map(unpack, series)))
 
 
 def _series(kernel, size_var: str, stat_var: str, cap: int, k: int | None = None) -> Series:

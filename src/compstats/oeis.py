@@ -82,13 +82,19 @@ def _rows(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
+def _read_text(path: str | Path) -> str:
+    # a binary read and one decode skip the text layer; str.splitlines and json.loads both
+    # take a CRLF line ending as one, so no newline translation is needed
+    with open(path, "rb") as file:
+        return file.read().decode("utf-8")
+
+
 def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:
-    path = Path(path)
     if not sequence_id:
-        stem = path.name.split(".")[0]
+        stem = Path(path).name.split(".")[0]
         if stem.startswith("b") and stem[1:].isdigit():
             sequence_id = "A" + stem[1:]
-    return parse_bfile(path.read_text(), sequence_id=sequence_id)
+    return parse_bfile(_read_text(path), sequence_id=sequence_id)
 
 
 def fetch_bfile(sequence_id: str) -> BFile:
@@ -109,7 +115,7 @@ def fetch_bfile(sequence_id: str) -> BFile:
 def load_metadata(path: str | Path) -> Mapping:
     """The sequence metadata in the JSON file at ``path``, read-only at every level (objects
     as mappings, arrays as tuples), so that every load of one text shares one parse."""
-    return _metadata(Path(path).read_text())
+    return _metadata(_read_text(path))
 
 
 @lru_cache(maxsize=TEXT_MEMO_SIZE)
@@ -136,7 +142,7 @@ def _sequence_meta(sequence_id: str,
     if metadata is not None and not isinstance(metadata, Mapping):
         raise UnknownSequence(f"no mapping for sequence {sequence_id!r}: the metadata is "
                               f"a {type(metadata).__name__}, not a mapping of sequence ids")
-    meta = {**SEQUENCES, **(metadata or {})}.get(sequence_id)
+    meta = (metadata or {}).get(sequence_id, SEQUENCES.get(sequence_id))
     if meta is None:
         raise UnknownSequence(f"no mapping for sequence {sequence_id!r}")
     if not isinstance(meta, Mapping) or meta.get("quantity") not in QUANTITIES:
@@ -195,13 +201,12 @@ def check_sequence(sequence_id: str, bfile: BFile, max_n: int,
     """Compare the b-file against computed values for all indices both cover."""
     _, _, offset = _sequence_meta(sequence_id, metadata)
     expected = sequence_terms(sequence_id, max_n, metadata)
+    end = offset + len(expected)
     checked = 0
     for index, value in bfile.rows:
-        position = index - offset
-        if position < 0 or position >= len(expected):
-            continue
-        checked += 1
-        if value != expected[position]:
-            return CheckReport(sequence_id, checked, False,
-                               (index, value, expected[position]))
+        if offset <= index < end:
+            checked += 1
+            if value != expected[index - offset]:
+                return CheckReport(sequence_id, checked, False,
+                                   (index, value, expected[index - offset]))
     return CheckReport(sequence_id, checked, True, None)

@@ -499,6 +499,19 @@ def test_oeis_check_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("name", ["b189052.txt", "metadata.json"])
+def test_oeis_check_on_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, name):
+    for copied in ("b189052.txt", "metadata.json"):
+        (tmp_path / copied).write_bytes((DATA / "oeis" / copied).read_bytes())
+    target = tmp_path / name
+    target.write_bytes(target.read_bytes().replace(b"A189052", b"A189\xff052", 1))
+    code, out, err = run(capsys, "oeis-check", "--seq", "A189052",
+                         "--bfile", str(tmp_path / "b189052.txt"), "--max-n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err and err.count("\n") == 1
+
+
 def test_oeis_check_requires_source(capsys, monkeypatch):
     # exactly one of --bfile and --fetch; a usage error is reported before any download
     def no_network(*args, **kwargs):

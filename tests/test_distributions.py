@@ -424,6 +424,22 @@ def test_a_repeated_read_builds_no_kernel(kernel_calls):
         assert len(kernel_calls) == calls
 
 
+@pytest.mark.parametrize("kind, read", [("ic", DistTable.inversions), ("dc", DistTable.descents)])
+def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, read):
+    # the all-k rows are the sums of the per-k rows, so a later `--k` read at the same cap
+    # finds its rows in the memo
+    table = read(9)
+    assert kernel_calls == [(kind, k) for k in range(10)]
+    kernel_calls.clear()
+    misses = distributions._counts.cache_info().misses
+    by_k = [read(9, k=k) for k in range(11)]
+    assert kernel_calls == []
+    assert distributions._counts.cache_info().misses == misses
+    assert by_k[10].rows == ((),) * 10
+    for n, row in enumerate(table.rows):
+        assert list(row) == [sum(per_k.count(n, r) for per_k in by_k) for r in range(len(row))]
+
+
 def test_tables_above_the_cap_add_one_memo_entry(clear_memos):
     # every part count above the cap reads the same all-zero table, so the memos stay bounded
     def memo_entries():

@@ -117,6 +117,49 @@ def test_check_sequence_respects_metadata_offset():
     assert not report.agree
 
 
+# A189052 at max_n 5 computes the terms 0, 0, 1, 4, 14 of n = 1..5
+
+def test_check_sequence_skips_rows_outside_the_computed_terms():
+    # rows below the offset, and rows from offset + len(terms) on, are neither compared
+    # nor counted, whatever their values
+    rows = ((-1, 7), (0, 7), (1, 0), (2, 0), (3, 1), (4, 4), (5, 14), (6, 999), (40, 1))
+    assert check_sequence("A189052", BFile("A189052", rows), 5) == ("A189052", 5, True, None)
+    shifted = {"A189052": {"quantity": "ic_total", "offset": 3}}
+    rows = ((1, 7), (2, 7), (3, 0), (4, 0), (5, 1), (6, 4), (7, 14), (8, 999))
+    assert (check_sequence("A189052", BFile("A189052", rows), 5, shifted)
+            == ("A189052", 5, True, None))
+
+
+def test_check_sequence_allows_gaps_in_the_indices():
+    report = check_sequence("A189052", BFile("A189052", ((1, 0), (3, 1), (5, 14))), 5)
+    assert report == ("A189052", 3, True, None)
+    report = check_sequence("A189052", BFile("A189052", ((2, 0), (5, 13), (6, 0))), 5)
+    assert report == ("A189052", 2, False, (5, 13, 14))
+
+
+def test_check_sequence_reports_the_first_mismatch_in_range():
+    rows = ((0, 999), (1, 0), (2, 7), (3, 8), (6, 999))
+    report = check_sequence("A189052", BFile("A189052", rows), 5)
+    assert report == ("A189052", 2, False, (2, 7, 0))
+
+
+def test_a_sequence_missing_from_the_metadata_falls_back_to_the_defaults():
+    bfile = load_bfile(FIXTURES / "b189052.txt")
+    expected = check_sequence("A189052", bfile, 10)
+    assert expected.agree
+    for metadata in ({}, {"A189074": {"quantity": "dc_triangle", "offset": 2}},
+                     load_metadata(FIXTURES / "metadata.json")):
+        assert check_sequence("A189052", bfile, 10, metadata) == expected
+
+
+def test_a_none_metadata_entry_is_unknown_sequence():
+    bfile = load_bfile(FIXTURES / "b189052.txt")
+    with pytest.raises(UnknownSequence, match="no mapping for sequence 'A189052'"):
+        check_sequence("A189052", bfile, 5, {"A189052": None})
+    with pytest.raises(UnknownSequence, match="no mapping for sequence 'A189052'"):
+        sequence_terms("A189052", 5, {"A189052": None})
+
+
 @pytest.mark.parametrize("metadata", [
     {"A189074": {"n_start": 1}},
     {"A189074": {"quantity": "ic_totals"}},
@@ -178,6 +221,38 @@ def test_load_bfile_reads_a_rewritten_file_again(tmp_path):
     rewritten = load_bfile(path)
     assert rewritten.rows == ((1, 0), (2, 0), (3, 999))
     assert not check_sequence("A189052", rewritten, 5).agree
+
+
+def crlf(path: Path, target: Path) -> Path:
+    """Write ``path``'s text to ``target`` with every line ending CRLF."""
+    target.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return target
+
+
+def test_a_crlf_bfile_reads_as_its_lf_version(tmp_path):
+    for sequence_id in SEQUENCE_IDS:
+        lf = FIXTURES / f"b{sequence_id[1:]}.txt"
+        assert load_bfile(crlf(lf, tmp_path / lf.name)) == load_bfile(lf)
+    bad = "# note\n\n1 1\n  \n2 x\n"
+    for ending in ("\n", "\r\n"):
+        path = tmp_path / "b189052.txt"
+        path.write_bytes(bad.replace("\n", ending).encode())
+        with pytest.raises(BFileParseError) as exc:
+            load_bfile(path)
+        assert str(exc.value) == "line 5: non-integer field in '2 x'"
+
+
+def test_a_crlf_metadata_file_reads_as_its_lf_version(tmp_path):
+    lf = FIXTURES / "metadata.json"
+    assert load_metadata(crlf(lf, tmp_path / "metadata.json")) == load_metadata(lf)
+    positions = []
+    for ending in ("\n", "\r\n"):
+        path = tmp_path / "metadata.json"
+        path.write_bytes('{\n  "A189052": {\n    "offset": ,\n  }\n}\n'.replace("\n", ending).encode())
+        with pytest.raises(json.JSONDecodeError) as exc:
+            load_metadata(path)
+        positions.append((exc.value.lineno, exc.value.colno))
+    assert positions == [(3, 15)] * 2
 
 
 def test_a_malformed_text_raises_on_every_parse():

@@ -34,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 DIST = "src/compstats/distributions.py"
+OEIS = "src/compstats/oeis.py"
 
 # (file, old text, new text, what the mutant breaks)
 MUTANTS = [
@@ -52,9 +53,12 @@ MUTANTS = [
     (DIST, "<< (SLOT_BITS * (j - 1)) for j in range(1, k + 1)]",
      "<< (SLOT_BITS * (j - 1)) for j in range(1, min(k, 16) + 1)]",
      "_q_eulerian_sum drops the shapes of more than 16 parts: only descent rows n > 16"),
-    (DIST, "kern = kernel(j, min(cap - j, comb(j, 2)))",
-     "kern = kernel(j, min(cap - j - 1, comb(j, 2)))",
+    (DIST, "kern = kernel(k, min(cap - k, comb(k, 2)))",
+     "kern = kernel(k, min(cap - k - 1, comb(k, 2)))",
      "_counts cuts each kernel one power short"),
+    (DIST, "by_k = [_counts(kernel, cap, j) for j in range(cap + 2)]",
+     "by_k = [_counts(kernel, cap, j) for j in range(1, cap + 2)]",
+     "the all-k sum leaves out the k = 0 row"),
     ("src/compstats/qanalog.py", "for part in range(1, min(n, len(coefficients) - 1) + 1):",
      "for part in range(1, min(n, len(coefficients) - 1)):",
      "over_pochhammer skips the largest part"),
@@ -96,6 +100,11 @@ MUTANTS = [
      "verify stops at the first fault"),
     ("src/compstats/cli.py", "        return EXIT_INTERNAL\n", "        return EXIT_USAGE\n",
      "main reports an internal error with the usage exit code"),
+    (OEIS, "if offset <= index < end:", "if offset <= index <= end:",
+     "check_sequence admits index = offset + len(terms)"),
+    (OEIS, "(metadata or {}).get(sequence_id, SEQUENCES.get(sequence_id))",
+     "SEQUENCES.get(sequence_id, (metadata or {}).get(sequence_id))",
+     "the SEQUENCES defaults override the metadata"),
 ]
 
 

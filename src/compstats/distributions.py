@@ -134,12 +134,12 @@ def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     the last nonzero one.  The k-compositions contribute x^k K_k / (x)_k: the kernel K_k, cut at
     min(cap - k, C(k, 2)) (its degree is C(k, 2)) and padded to cap - k + 1 entries, is divided
     by (x)_k in place; rows n < k are empty, and so is every row for k > cap.  Packed counts
-    stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of k = 0..cap + 1,
+    stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of k = 0..cap,
     so an all-k table leaves the rows of every `--k` read at its cap in the memo.  The rows are
     shared: callers read them, never copy them."""
     check_size("table", "cap", cap)
     if k is None:
-        by_k = [_counts(kernel, cap, j) for j in range(cap + 2)]
+        by_k = [_counts(kernel, cap, j) for j in range(cap + 1)]
         return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0))) for rows in zip(*by_k))
     check_nonnegative("k", k)
     if k > cap:

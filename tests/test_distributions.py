@@ -432,10 +432,9 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
     assert kernel_calls == [(kind, k) for k in range(10)]
     kernel_calls.clear()
     misses = distributions._counts.cache_info().misses
-    by_k = [read(9, k=k) for k in range(11)]
+    by_k = [read(9, k=k) for k in range(10)]
     assert kernel_calls == []
     assert distributions._counts.cache_info().misses == misses
-    assert by_k[10].rows == ((),) * 10
     for n, row in enumerate(table.rows):
         assert list(row) == [sum(per_k.count(n, r) for per_k in by_k) for r in range(len(row))]
 

@@ -56,8 +56,8 @@ MUTANTS = [
     (DIST, "kern = kernel(k, min(cap - k, comb(k, 2)))",
      "kern = kernel(k, min(cap - k - 1, comb(k, 2)))",
      "_counts cuts each kernel one power short"),
-    (DIST, "by_k = [_counts(kernel, cap, j) for j in range(cap + 2)]",
-     "by_k = [_counts(kernel, cap, j) for j in range(1, cap + 2)]",
+    (DIST, "by_k = [_counts(kernel, cap, j) for j in range(cap + 1)]",
+     "by_k = [_counts(kernel, cap, j) for j in range(1, cap + 1)]",
      "the all-k sum leaves out the k = 0 row"),
     ("src/compstats/qanalog.py", "for part in range(1, min(n, len(coefficients) - 1) + 1):",
      "for part in range(1, min(n, len(coefficients) - 1)):",

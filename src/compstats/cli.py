@@ -91,7 +91,7 @@ def cmd_bij(args: argparse.Namespace) -> int:
 
     sigma = parse_composition(sys.stdin.read() if args.composition == "-" else args.composition)
     if not sigma:
-        raise CompstatsError("the empty composition is not in the bijection's domain")
+        raise CompstatsError("bij needs a composition with at least one part")
     pi, lam = macmahon_forward(sigma)
     mu = tuple(sigma[i - 1] for i in pi)
     maj = major_index(pi)
@@ -163,13 +163,16 @@ def cmd_oeis_check(args: argparse.Namespace) -> int:
     from . import oeis
 
     if args.fetch:
-        bfile = oeis.fetch_bfile(args.seq)
         metadata = None
     else:
         path = Path(args.bfile)
-        bfile = oeis.load_bfile(path, sequence_id=args.seq)
         sidecar = path.parent / "metadata.json"
         metadata = oeis.load_metadata(sidecar) if sidecar.exists() else None
+    # an unknown sequence or an over-limit --max-n is refused before a b-file is read or
+    # downloaded; the terms are memoised, so check_sequence does not compute them again
+    oeis.sequence_terms(args.seq, args.max_n, metadata)
+    bfile = (oeis.fetch_bfile(args.seq) if args.fetch
+             else oeis.load_bfile(path, sequence_id=args.seq))
     report = oeis.check_sequence(args.seq, bfile, args.max_n, metadata)
     if not report.terms_checked:
         raise CompstatsError(f"{args.seq}: nothing to compare: no b-file index falls in "

@@ -14,7 +14,7 @@ from operator import sub
 from typing import TYPE_CHECKING
 
 from . import statistics
-from .errors import EmptyComposition, LengthMismatch, check_nonnegative, check_partition, check_size
+from .errors import LengthMismatch, check_nonnegative, check_partition, check_size
 from .permutations import Permutation, check_permutation
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ def compositions_of(n: int, k: int) -> Iterator[Composition]:
 
 def all_compositions(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n across every part count (just () for n = 0)."""
-    for k in range(0 if n == 0 else 1, n + 1):
+    for k in range(n + 1):
         yield from compositions_of(n, k)
 
 
@@ -83,8 +83,6 @@ def reversed_composition(sigma: Sequence[int]) -> Composition:
 def sorting_permutation(sigma: Sequence[int]) -> Permutation:
     """The unique permutation sorting sigma weakly decreasingly, ties by increasing index."""
     sigma = check_composition(sigma)
-    if not sigma:
-        raise EmptyComposition("the empty composition has no sorting permutation")
     # a stable sort keeps tied parts in increasing index order
     return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: -sigma[i - 1]))
 
@@ -105,8 +103,6 @@ def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, tuple[int, ...]
     yields a partition with |partition| + maj(permutation) = |sigma|.
     """
     sigma = check_composition(sigma)
-    if not sigma:
-        raise EmptyComposition("the empty composition is not in the bijection's domain")
     pi = sorting_permutation(sigma)
     lam = tuple(sigma[i - 1] - shift for i, shift in zip(pi, _descent_shifts(pi)))
     return pi, check_partition(lam)

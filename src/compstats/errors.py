@@ -25,14 +25,6 @@ class OutOfRange(CompstatsError):
     pass
 
 
-class EmptyPartition(CompstatsError):
-    pass
-
-
-class EmptyComposition(CompstatsError):
-    pass
-
-
 class LengthMismatch(CompstatsError):
     pass
 

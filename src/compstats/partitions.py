@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import TYPE_CHECKING
 
-from .errors import EmptyPartition, InexactDivision, check_partition, check_size
+from .errors import InexactDivision, check_partition, check_size
 from .qanalog import q_multinomial, q_quotient
 
 # the hook kernel reads hook_quotient's lists, so syt_count_q alone imports polynomial, when called
@@ -50,8 +50,6 @@ def conjugate(shape: Sequence[int]) -> Partition:
 def hook_lengths(shape: Sequence[int]) -> list[list[int]]:
     """Hook lengths of each diagram cell: arm + leg + 1, row by row."""
     shape = check_partition(shape)
-    if not shape:
-        raise EmptyPartition("the empty diagram has no cells")
     cols = conjugate(shape)
     return [
         [(row_len - j - 1) + (cols[j] - i - 1) + 1 for j in range(row_len)]
@@ -98,8 +96,6 @@ def q_eulerian_weight(shape: Sequence[int]) -> Poly:
     for the joint (inv, des) distribution over permutations.
     """
     shape = check_partition(shape)
-    if not shape:
-        raise EmptyPartition("weight of the empty partition is not defined")
     arrangements = factorial(len(shape))
     for mult in Counter(shape).values():
         arrangements //= factorial(mult)
@@ -111,8 +107,6 @@ def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
     shape = check_partition(shape)
     n = sum(shape)
     check_size("tableaux", "shape size", n)
-    if not shape:
-        return [()]
     results: list[Tableau] = []
     rows: list[list[int]] = [[] for _ in shape]
 

@@ -83,9 +83,7 @@ def foata(pi: Sequence[int]) -> Permutation:
     descent set of the inverse permutation.
     """
     pi = check_permutation(pi)
-    if len(pi) <= 1:
-        return pi
-    image = [pi[0]]
+    image = list(pi[:1])
     for x in pi[1:]:
         low = image[-1] < x
         rebuilt: list[int] = []

@@ -56,7 +56,7 @@ def check_lemma(max_n: int) -> tuple[bool, str]:
     from .permutations import inverse_permutation
     from .statistics import comajor_index, descent_number, inversions, major_index
 
-    for n in range(1, max_n + 1):
+    for n in range(max_n + 1):
         for sigma in all_compositions(n):
             pi = sorting_permutation(sigma)
             inverse = inverse_permutation(pi)
@@ -79,7 +79,7 @@ def check_macmahon(max_n: int) -> tuple[bool, str]:
                                macmahon_inverse)
     from .statistics import major_index
 
-    for n in range(1, max_n + 1):
+    for n in range(max_n + 1):
         for sigma in all_compositions(n):
             pi, lam = macmahon_forward(sigma)
             maj = major_index(pi)

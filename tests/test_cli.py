@@ -144,8 +144,9 @@ def test_bij_malformed_input(capsys):
     code, _, err = run(capsys, "bij", "4,x")
     assert code == 2
     assert "error" in err
-    code, _, _ = run(capsys, "bij", "")
-    assert code == 2
+    code, out, err = run(capsys, "bij", "")
+    assert (code, out) == (2, "")
+    assert err == "error: bij needs a composition with at least one part\n"
     # int() reads these parts as 10, 3 and 1; a part is plain ASCII digits
     for literal in ("1_0", "\uff13", "2,+1"):
         code, out, err = run(capsys, "bij", literal)
@@ -217,6 +218,19 @@ def test_verify_zero_bounds_are_not_replaced_by_defaults(capsys):
     assert out.startswith("ERROR jointstat: ")
 
 
+@pytest.mark.parametrize("suite", ["lemma", "macmahon"])
+def test_verify_max_n_zero_checks_the_empty_composition(capsys, monkeypatch, suite):
+    from compstats import compositions
+
+    swept = []
+    all_compositions = compositions.all_compositions
+    monkeypatch.setattr(compositions, "all_compositions",
+                        lambda n: swept.append(n) or all_compositions(n))
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "0")
+    assert (code, out) == (0, f"PASS {suite}: all compositions with sum <= 0\n")
+    assert swept == [0]
+
+
 def test_verify_all_reports_every_suite(capsys):
     # jointstat needs cap >= k; the other suites still run and report
     code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
@@ -276,6 +290,21 @@ def test_failed_fetch_is_a_usage_error(capsys, monkeypatch, failure):
     assert code == 2
     assert out == ""
     assert err == f"error: could not fetch https://oeis.org/A189052/b189052.txt: {failure}\n"
+
+
+def test_oeis_check_refuses_an_unanswerable_request_before_reading_a_bfile(
+        capsys, monkeypatch, tmp_path):
+    def no_network(*args, **kwargs):
+        raise AssertionError("oeis-check went to the network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    missing = str(tmp_path / "b999999.txt")
+    for argv, message in (
+            (["--fetch", "--seq", "A999999"], "no mapping for sequence 'A999999'"),
+            (["--fetch", "--seq", "A189074", "--max-n", "30"], "cap 30 exceeds the table limit 24"),
+            (["--bfile", missing, "--seq", "A999999"], "no mapping for sequence 'A999999'")):
+        code, out, err = run(capsys, "oeis-check", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, clear_memos):

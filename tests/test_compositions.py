@@ -18,11 +18,11 @@ from compstats.compositions import (
     sorting_permutation,
     statistic_distribution,
 )
-from compstats.errors import EmptyComposition, LengthMismatch, TooLarge
+from compstats.errors import LengthMismatch, TooLarge
 from compstats.permutations import permutation_stats
 from compstats.polynomial import Poly, monomial_key, p, q
 
-compositions = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple)
+compositions = st.lists(st.integers(1, 6), min_size=0, max_size=6).map(tuple)
 
 
 def test_compositions_of_counts():
@@ -115,8 +115,7 @@ def test_sorting_permutation():
     assert sorting_permutation((4, 2, 1, 2, 1, 5, 3)) == (6, 1, 7, 2, 4, 3, 5)
     assert sorting_permutation((5, 3, 1)) == (1, 2, 3)
     assert sorting_permutation((1, 2)) == (2, 1)
-    with pytest.raises(EmptyComposition):
-        sorting_permutation(())
+    assert sorting_permutation(()) == ()
 
 
 @given(compositions)
@@ -142,10 +141,25 @@ def test_macmahon_trivial_cases():
     assert macmahon_forward((1, 1, 1)) == ((1, 2, 3), (1, 1, 1))
     assert macmahon_forward((3, 1)) == ((1, 2), (3, 1))
     assert macmahon_inverse((1, 2, 3), (4, 2, 1)) == (4, 2, 1)
-    with pytest.raises(EmptyComposition):
-        macmahon_forward(())
+    assert macmahon_forward(()) == ((), ())
     with pytest.raises(LengthMismatch):
         macmahon_inverse((1, 2), (3, 1, 1))
+
+
+def test_size_zero_follows_the_general_formulas():
+    # the empty composition, permutation and partition are the n = 0 cases of every
+    # formula, not exceptions to them
+    from compstats.distributions import maj_inv_poly
+    from compstats.partitions import (enumerate_standard_tableaux, partitions_of, syt_count,
+                                      syt_count_q)
+    from compstats.permutations import foata, foata_inverse
+
+    assert syt_count(()) == len(enumerate_standard_tableaux(())) == 1
+    hook_sum = sum((syt_count_q(shape).rename({"q": "p"}) * syt_count_q(shape)
+                    for shape in partitions_of(0)), Poly.zero())
+    assert hook_sum == maj_inv_poly(0)
+    assert macmahon_inverse(*macmahon_forward(())) == ()
+    assert foata(()) == foata_inverse(()) == ()
 
 
 @given(compositions)

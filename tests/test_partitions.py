@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from compstats.errors import LIMITS, EmptyPartition, TooLarge
+from compstats.errors import LIMITS, TooLarge
 from compstats.partitions import (
     b_statistic,
     conjugate,
@@ -21,7 +21,7 @@ from compstats.polynomial import Poly, q
 
 @st.composite
 def partitions(draw, max_n=8):
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(0, max_n))
     index = draw(st.integers(0, len(partitions_of(n)) - 1))
     return partitions_of(n)[index]
 
@@ -78,8 +78,7 @@ def test_hook_lengths_known_grid():
 
 
 def test_hook_lengths_empty():
-    with pytest.raises(EmptyPartition):
-        hook_lengths(())
+    assert hook_lengths(()) == []
 
 
 def test_b_statistic():
@@ -100,8 +99,7 @@ def test_syt_count_values():
     assert syt_count((5,)) == 1
     assert syt_count((2, 1)) == 2
     assert syt_count((4, 4, 2, 1)) == 1320
-    with pytest.raises(EmptyPartition):
-        syt_count(())
+    assert syt_count(()) == 1
 
 
 def test_enumerate_tableaux_small():
@@ -147,8 +145,7 @@ def test_syt_count_q_values():
     assert syt_count_q((2,)) == Poly.one()
     assert syt_count_q((1, 1)) == q
     assert syt_count_q((2, 1)) == q + q ** 2
-    with pytest.raises(EmptyPartition):
-        syt_count_q(())
+    assert syt_count_q(()) == Poly.one()
 
 
 def test_tableau_descents_and_major_index():
@@ -175,8 +172,7 @@ def test_q_eulerian_weight_values():
     assert q_eulerian_weight((2,)) == Poly.one()
     assert q_eulerian_weight((1, 1)) == 1 + q
     assert q_eulerian_weight((1, 1, 1)) == 1 + 2 * q + 2 * q ** 2 + q ** 3
-    with pytest.raises(EmptyPartition):
-        q_eulerian_weight(())
+    assert q_eulerian_weight(()) == Poly.one()
 
 
 def test_check_partition_rejects_bad_shapes():

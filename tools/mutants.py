@@ -105,6 +105,15 @@ MUTANTS = [
     (OEIS, "(metadata or {}).get(sequence_id, SEQUENCES.get(sequence_id))",
      "SEQUENCES.get(sequence_id, (metadata or {}).get(sequence_id))",
      "the SEQUENCES defaults override the metadata"),
+    ("src/compstats/suites.py",
+     "inversions, major_index\n\n    for n in range(max_n + 1):",
+     "inversions, major_index\n\n    for n in range(1, max_n + 1):",
+     "verify lemma sweeps from n = 1 again, past the empty composition"),
+    ("src/compstats/partitions.py",
+     "    shape = check_partition(shape)\n    cols = conjugate(shape)",
+     "    shape = check_partition(shape)\n    if not shape:\n"
+     "        raise ValueError(\"the empty diagram has no cells\")\n    cols = conjugate(shape)",
+     "hook_lengths refuses the empty shape again"),
 ]
 
 

@@ -10,6 +10,8 @@ The names in ``__all__`` and the submodules resolve on first access
 import the others: a table call loads neither ``polynomial`` nor ``oracles``.
 """
 
+import sys
+
 _SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracles",
                "partitions", "permutations", "polynomial", "qanalog", "statistics", "suites")
 
@@ -42,12 +44,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
+    # __import__ rather than importlib.import_module, which a table call would otherwise load
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     if name in _SOURCES:
-        return getattr(import_module(f"{__name__}.{_SOURCES[name]}"), name)
+        return getattr(__getattr__(_SOURCES[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

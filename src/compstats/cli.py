@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 # each subcommand imports what it runs, so a table never loads polynomial, the
 # verify suites, the oracles, or the enumeration or OEIS modules, and only JSON
 # output loads json
 from .errors import LIMITS, CompstatsError
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .distributions import DistTable
 

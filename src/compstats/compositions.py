@@ -11,12 +11,12 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 from operator import sub
-from typing import TYPE_CHECKING
 
 from . import statistics
 from .errors import LengthMismatch, check_nonnegative, check_partition, check_size
 from .permutations import Permutation, check_permutation
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Series
 

@@ -21,14 +21,14 @@ from functools import lru_cache
 from itertools import count, zip_longest
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING
 
-from .errors import CapTooSmall, InexactDivision, check_nonnegative, check_size
+from .errors import InexactDivision, check_nonnegative, check_size
 from .partitions import hook_quotient, partitions_of
 from .qanalog import over_pochhammer, pochhammer_inverse_series
 
 # the tables and totals work on packed ints, so only the functions that return a Poly or a
 # Series import polynomial, when called: a table call never compiles it
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly, Series
 
@@ -123,37 +123,39 @@ def _poly(rows: Iterable[Iterable[int]], outer: str, inner: str) -> Poly:
 # Generating functions over compositions
 # ---------------------------------------------------------------------------
 
-def _check_leading(k: int | None, cap: int) -> None:
-    if k is not None and cap < k:
-        raise CapTooSmall(f"cap {cap} cannot hold the leading term of degree {k}")
-
-
 @lru_cache(maxsize=None)
 def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     """Row n lists the counts of the (k-)compositions of n by the kernel's statistic r, up to
     the last nonzero one.  The k-compositions contribute x^k K_k / (x)_k: the kernel K_k, cut at
     min(cap - k, C(k, 2)) (its degree is C(k, 2)) and padded to cap - k + 1 entries, is divided
-    by (x)_k in place; rows n < k are empty, and so is every row for k > cap.  Packed counts
-    stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of k = 0..cap,
-    so an all-k table leaves the rows of every `--k` read at its cap in the memo.  The rows are
-    shared: callers read them, never copy them."""
+    by (x)_k in place; rows n < k are empty.  k <= cap, as :func:`_rows` answers k > cap.
+    Packed counts stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of
+    k = 0..cap, so an all-k table leaves the rows of every `--k` read at its cap in the memo.
+    The rows are shared: callers read them, never copy them."""
     check_size("table", "cap", cap)
     if k is None:
         by_k = [_counts(kernel, cap, j) for j in range(cap + 1)]
         return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0))) for rows in zip(*by_k))
     check_nonnegative("k", k)
-    if k > cap:
-        return ((),) * (cap + 1)
     kern = kernel(k, min(cap - k, comb(k, 2)))
     series = over_pochhammer(list(kern) + [0] * (cap - k + 1 - len(kern)), k)
     return ((),) * k + tuple(map(tuple, map(unpack, series)))
 
 
+def _rows(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
+    """The count rows of :func:`_counts`, for every k.  A k-composition of n has n >= k, so for
+    k > cap every row is empty; that answer is given here, in front of the memo, and takes no
+    entry."""
+    if k is None or k <= cap:
+        return _counts(kernel, cap, k)
+    check_size("table", "cap", cap)
+    return ((),) * (cap + 1)
+
+
 def _series(kernel, size_var: str, stat_var: str, cap: int, k: int | None = None) -> Series:
     from .polynomial import Series
 
-    _check_leading(k, cap)
-    return Series(_poly(_counts(kernel, cap, k), size_var, stat_var), size_var, cap)
+    return Series(_poly(_rows(kernel, cap, k), size_var, stat_var), size_var, cap)
 
 
 def inv_gf(k: int, cap: int) -> Series:
@@ -220,14 +222,14 @@ def des_gf_total_rational(cap: int) -> Series:
 def _over_k_partitions(limit: str, k: int, cap: int, stats: tuple[str, ...],
                        variables: tuple[str, ...]) -> Series:
     """p^k / (p)_k, the size series of k-partitions, times the distribution of ``stats`` over
-    S_k in ``variables``; k is capped at LIMITS[limit]."""
+    S_k in ``variables``; k is capped at LIMITS[limit].  For k > cap the cut leaves zero."""
     check_size(limit, "k", k)
-    _check_leading(k, cap)
+    size_series = pochhammer_inverse_series(k, "p", cap)  # refuses a negative cap first
     from . import permutations
     from .polynomial import Poly
 
     dist = permutations.statistic_distribution(k, stats, variables)
-    return pochhammer_inverse_series(k, "p", cap) * Poly.variable("p", k) * dist
+    return size_series * Poly.variable("p", k) * dist
 
 
 def comaj_des_gf(k: int, cap: int) -> Series:
@@ -306,8 +308,7 @@ class DistTable:
 
     @classmethod
     def _read(cls, kind: str, kernel, cap: int, k: int | None) -> DistTable:
-        # every k above the cap reads the one all-zero table, so the memo keys stay bounded
-        rows = _counts(kernel, cap, k if k is None else min(k, cap + 1))
+        rows = _rows(kernel, cap, k)
         return cls(kind=f"{kind}_n" if k is None else f"{kind}_nk", cap=cap, k=k, rows=rows)
 
     def _row(self, n: int) -> tuple[int, ...]:

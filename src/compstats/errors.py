@@ -21,20 +21,12 @@ class InexactDivision(ArithmeticError):
     """A division that must be exact left a remainder (implementation bug)."""
 
 
-class OutOfRange(CompstatsError):
-    pass
-
-
 class LengthMismatch(CompstatsError):
     pass
 
 
 class TooLarge(CompstatsError):
     """Input exceeds the documented enumeration scale."""
-
-
-class CapTooSmall(CompstatsError):
-    """Requested truncation cap cannot hold the leading term."""
 
 
 class BFileParseError(CompstatsError):

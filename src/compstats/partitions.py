@@ -11,12 +11,12 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import factorial, prod
-from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, check_partition, check_size
 from .qanalog import q_multinomial, q_quotient
 
 # the hook kernel reads hook_quotient's lists, so syt_count_q alone imports polynomial, when called
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import permutations as _itertools_permutations
-from typing import TYPE_CHECKING
 
 from . import statistics
 from .errors import check_size
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly
 

@@ -125,8 +125,9 @@ class Poly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    def __hash__(self) -> int:  # a constant equals its int, so it hashes as that int
+        constant = self._terms.keys() <= {_CONST_KEY}
+        return hash(self._terms.get(_CONST_KEY, 0) if constant else frozenset(self._terms.items()))
 
     # -- arithmetic ----------------------------------------------------------
 

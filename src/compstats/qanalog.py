@@ -10,12 +10,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .errors import InexactDivision, OutOfRange, check_nonnegative
+from .errors import InexactDivision, check_nonnegative
 
 # q_quotient and over_pochhammer work on lists, which is all a table call runs, so the
 # functions that return a Poly or a Series import polynomial when called
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly, Series
 
@@ -39,10 +39,11 @@ def _gauss(n: int, k: int) -> Poly:
 
 
 def gaussian_binomial(n: int, k: int) -> Poly:
-    """The Gaussian binomial coefficient as a polynomial in q."""
-    if k < 0 or k > n:
-        raise OutOfRange(f"gaussian_binomial requires 0 <= k <= n, got (n, k) = ({n}, {k})")
-    return _gauss(n, k)
+    """The Gaussian binomial coefficient [n, k]_q as a polynomial in q: 0 for k outside 0..n."""
+    from .polynomial import Poly
+
+    check_nonnegative("n", n)
+    return _gauss(n, k) if 0 <= k <= n else Poly.zero()
 
 
 def _times_one_minus(coefficients: list[int], v: int) -> None:

@@ -10,10 +10,10 @@ conventions.  :data:`STATISTICS` names them; :mod:`.permutations` and
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
 
 # only distribution builds a Poly, so only it imports polynomial, when called:
 # bij and the suites that compare no polynomials never compile it
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly
 

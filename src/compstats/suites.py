@@ -9,8 +9,7 @@ the closed forms, and only the suites that compare polynomials load
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly
 

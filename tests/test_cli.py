@@ -214,8 +214,8 @@ def test_verify_zero_bounds_are_not_replaced_by_defaults(capsys):
     assert code == 0
     assert out == "PASS lemma: all compositions with sum <= 0\n"
     code, out, _ = run(capsys, "verify", "--suite", "jointstat", "--cap", "0")
-    assert code == 2
-    assert out.startswith("ERROR jointstat: ")
+    assert code == 0
+    assert out == "PASS jointstat: k 0..4, cap 0\n"
 
 
 @pytest.mark.parametrize("suite", ["lemma", "macmahon"])
@@ -231,15 +231,28 @@ def test_verify_max_n_zero_checks_the_empty_composition(capsys, monkeypatch, sui
     assert swept == [0]
 
 
-def test_verify_all_reports_every_suite(capsys):
-    # jointstat needs cap >= k; the other suites still run and report
+def refuse_bounds(*bounds):
+    raise ValueError(f"bounds {bounds} refused")
+
+
+def test_verify_all_reports_every_suite(capsys, monkeypatch):
+    from compstats import cli, suites
+
+    # a part count above the cap is zero on both sides of jointstat
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"PASS {name}" for name in cli.SUITES]
+    assert "PASS jointstat: k 0..6, cap 4\n" in out
+    # a suite that refuses its bounds reports ERROR; the other suites still run and report
+    monkeypatch.setattr(suites, "check_jointstat", refuse_bounds)
     code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
     assert code == 2
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "PASS prod", "PASS geneuler", "PASS genfuncid", "PASS lemma", "PASS macmahon",
         "ERROR jointstat", "PASS foata", "PASS equidist"]
-    assert lines[5] == "ERROR jointstat: cap 4 cannot hold the leading term of degree 5"
+    assert lines[5] == "ERROR jointstat: bounds (6, 4) refused"
 
 
 def test_verify_all_runs_each_suite_once(capsys, monkeypatch):
@@ -308,7 +321,7 @@ def test_oeis_check_refuses_an_unanswerable_request_before_reading_a_bfile(
 
 
 def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, clear_memos):
-    from compstats import cli, partitions
+    from compstats import cli, partitions, suites
 
     # the same broken hooks: prod builds the hook sums, and no other suite reads them
     hook_lengths = partitions.hook_lengths
@@ -322,8 +335,9 @@ def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, 
     assert [line.split(":")[0] for line in lines] == [
         f"{'ERROR' if name == 'prod' else 'PASS'} {name}" for name in cli.SUITES]
     assert lines[0] == "ERROR prod: internal error: the hook product of (1,) does not divide [1]_q!"
-    # a fault outranks a usage error (jointstat's cap below its k) in the exit code
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--k", "6", "--cap", "4")
+    # a fault outranks a usage error in the exit code
+    monkeypatch.setattr(suites, "check_jointstat", refuse_bounds)
+    code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 3
     assert [line.split(":")[0] for line in out.splitlines() if line.startswith("ERROR")] == [
         "ERROR prod", "ERROR jointstat"]

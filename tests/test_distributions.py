@@ -26,7 +26,7 @@ from compstats.distributions import (
     q_eulerian_poly,
     unpack,
 )
-from compstats.errors import LIMITS, CapTooSmall, InexactDivision, TooLarge, check_size
+from compstats.errors import LIMITS, InexactDivision, TooLarge, check_size
 from compstats.oracles import (
     maj_inv_poly_carlitz,
     verify_composition_count_identity,
@@ -192,8 +192,8 @@ def test_inv_gf_small():
 
 
 def test_inv_gf_cap_too_small():
-    with pytest.raises(CapTooSmall):
-        inv_gf(4, 3)
+    # p^k K_k / (p)_k starts at p^k, so a cap below k cuts it to zero
+    assert inv_gf(4, 3) == Series(Poly.zero(), "p", 3)
 
 
 def test_inv_gf_against_brute_force():
@@ -316,14 +316,31 @@ def test_comaj_des_gf_too_large():
         comaj_des_gf(9, 12)
 
 
-def test_a_short_cap_is_refused_before_s_k_is_enumerated(monkeypatch):
+def test_a_negative_cap_is_refused_before_s_k_is_enumerated(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("S_k was enumerated")
 
     monkeypatch.setattr("compstats.permutations.statistic_distribution", enumerate_nothing)
-    for gf in (comaj_des_gf, joint_gf):
-        with pytest.raises(CapTooSmall):
-            gf(4, 3)
+    for gf in (inv_gf, des_gf, comaj_des_gf, joint_gf):
+        with pytest.raises(ValueError, match="^cap must be nonnegative, got -1$"):
+            gf(4, -1)
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_part_counts_above_the_cap_give_zero(cap):
+    # a k-composition of n has n >= k, so every series and table of k parts is zero up to a
+    # cap below k, as enumeration finds
+    joint = (("sum", "inv", "comaj", "maj", "des"), ("p", "q", "t", "u", "v"))
+    for k in range(cap + 1, cap + 5):
+        for closed, stats, variables in ((inv_gf, ("sum", "inv"), ("p", "q")),
+                                         (des_gf, ("sum", "des"), ("q", "t")),
+                                         (joint_gf, *joint),
+                                         (comaj_des_gf, ("sum", "comaj", "des"), ("p", "q", "t"))):
+            zero = Series(Poly.zero(), variables[0], cap)
+            assert closed(k, cap) == composition_distribution(k, cap, stats, variables) == zero
+        assert DistTable.inversions(cap, k) == DistTable("ic_nk", cap, k, ((),) * (cap + 1))
+        assert DistTable.descents(cap, k) == DistTable("dc_nk", cap, k, ((),) * (cap + 1))
+        assert verify_composition_count_identity(k, cap)
 
 
 def test_joint_gf_small_coefficient():
@@ -439,8 +456,9 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
         assert list(row) == [sum(per_k.count(n, r) for per_k in by_k) for r in range(len(row))]
 
 
-def test_tables_above_the_cap_add_one_memo_entry(clear_memos):
-    # every part count above the cap reads the same all-zero table, so the memos stay bounded
+def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
+    # a part count above the cap, and a Gaussian binomial outside 0 <= k <= n, are answered
+    # in front of the memos, so the memos stay bounded
     def memo_entries():
         return sum(value.cache_info().currsize for value in vars(distributions).values()
                    if hasattr(value, "cache_info") and value.__module__ == distributions.__name__)
@@ -448,7 +466,16 @@ def test_tables_above_the_cap_add_one_memo_entry(clear_memos):
     clear_memos()
     for k in range(13, 1001):
         assert DistTable.inversions(12, k=k).rows == ((),) * 13
-    assert memo_entries() <= 1
+        assert DistTable.descents(12, k=k).rows == ((),) * 13
+    for k in range(5, 1001):
+        assert inv_gf(k, 4) == Series(Poly.zero(), "p", 4)
+        assert des_gf(k, 4) == Series(Poly.zero(), "q", 4)
+    assert memo_entries() == 0
+    _gauss.cache_clear()
+    for n in range(10):
+        for k in (-2, -1, n + 1, n + 2):
+            assert gaussian_binomial(n, k) == 0
+    assert _gauss.cache_info().currsize == 0
 
 
 def test_the_count_rows_are_the_only_distributions_memo():

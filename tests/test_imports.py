@@ -31,11 +31,13 @@ BFILES = Path(__file__).parent / "data" / "oeis"
 
 
 def loaded_modules(code: str, *argv: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``code``."""
+    """The modules a fresh interpreter holds after running ``code``.  It runs with -S: a site
+    hook (a .pth file that imports a package at start-up) would load modules of its own and
+    hide what the code loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = code + "\nimport sys\nsys.stderr.write(' '.join(sys.modules))\n"
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    result = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
                             capture_output=True, text=True, check=True)
     return set(result.stderr.split())
 

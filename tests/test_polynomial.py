@@ -39,6 +39,16 @@ def test_zero_terms_are_dropped():
     assert (1 + p * q) + (-1) == p * q
 
 
+def test_a_constant_hashes_as_the_int_it_equals():
+    for value in (3, 0, -7):
+        assert Poly.constant(value) == value
+        assert hash(Poly.constant(value)) == hash(value)
+        assert len({Poly.constant(value), value}) == 1
+    assert hash(Poly.zero()) == hash(0)
+    assert len({Poly.zero(), 0}) == 1
+    assert {p * q: 1}[q * p] == 1
+
+
 def test_addition_identity_and_cancellation():
     x = 1 + 2 * p + q
     assert x + Poly.zero() == x

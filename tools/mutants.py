@@ -114,6 +114,15 @@ MUTANTS = [
      "    shape = check_partition(shape)\n    if not shape:\n"
      "        raise ValueError(\"the empty diagram has no cells\")\n    cols = conjugate(shape)",
      "hook_lengths refuses the empty shape again"),
+    (DIST, "    if k is None or k <= cap:\n        return _counts(kernel, cap, k)",
+     "    if k is None or k <= cap + 1:\n        return _counts(kernel, cap, k)",
+     "a part count above the cap takes a memo entry again"),
+    ("src/compstats/qanalog.py", "return _gauss(n, k) if 0 <= k <= n else Poly.zero()",
+     "return _gauss(n, k) if 0 <= k <= n else Poly.constant(int(k == n + 1))",
+     "gaussian_binomial answers 1 one past n"),
+    (DIST, "TYPE_CHECKING = False  # typing's flag, without importing typing",
+     "from typing import TYPE_CHECKING",
+     "the table path imports typing again"),
 ]
 
 

@@ -10,6 +10,7 @@ defaults the vendored fixtures use.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
@@ -47,6 +48,9 @@ BFile = namedtuple("BFile", "sequence_id rows")
 # metadata.json with room to spare
 TEXT_MEMO_SIZE = 8
 
+# the bytes one os.read asks for; a longer file takes more reads
+READ_CHUNK = 1 << 16
+
 
 def parse_bfile(text: str, sequence_id: str = "") -> BFile:
     """Parse b-file text; raises BFileParseError naming the offending line."""
@@ -83,10 +87,22 @@ def _rows(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _read_text(path: str | Path) -> str:
-    # a binary read and one decode skip the text layer; str.splitlines and json.loads both
-    # take a CRLF line ending as one, so no newline translation is needed
-    with open(path, "rb") as file:
-        return file.read().decode("utf-8")
+    # raw OS reads and one decode skip io's FileIO and BufferedReader, and their fstat,
+    # isatty and seek calls; the file is still read in full on every call.  str.splitlines
+    # and json.loads both take a CRLF line ending as one, so no newline translation is needed
+    chunks = []
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            while chunk := os.read(fd, READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        # os.read names no file (reading a directory fails there): name it as open() does
+        exc.filename = os.fspath(path)
+        raise
+    return b"".join(chunks).decode("utf-8")
 
 
 def load_bfile(path: str | Path, sequence_id: str = "") -> BFile:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -37,8 +38,10 @@ def test_hk_json(capsys):
 
 
 def test_hk_too_large_is_usage_error(capsys):
+    from compstats.errors import LIMITS
+
     with pytest.raises(SystemExit) as exc:
-        main(["hk", "9"])
+        main(["hk", str(LIMITS["hk"] + 1)])
     assert exc.value.code == 2
 
 
@@ -553,6 +556,24 @@ def test_oeis_check_on_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, 
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "utf-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, error", [("b189052.txt", errno.EISDIR),
+                                         ("metadata.json", errno.EISDIR),
+                                         ("b189052.txt", errno.ENOENT)])
+def test_oeis_check_read_errors_name_the_file(tmp_path, capsys, name, error):
+    # os.read names no file (reading a directory fails there), so the read adds the path
+    for copied in ("b189052.txt", "metadata.json"):
+        (tmp_path / copied).write_bytes((DATA / "oeis" / copied).read_bytes())
+    target = tmp_path / name
+    target.unlink()
+    if error == errno.EISDIR:
+        target.mkdir()
+    code, out, err = run(capsys, "oeis-check", "--seq", "A189052",
+                         "--bfile", str(tmp_path / "b189052.txt"), "--max-n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno {error}] {os.strerror(error)}: {str(target)!r}\n"
 
 
 def test_oeis_check_requires_source(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import os
 import sys
 import urllib.request
 from pathlib import Path
@@ -336,3 +337,53 @@ def test_check_sequence_is_the_same_with_warm_and_cleared_memos(clear_memos):
     assert all(report.agree for report in warm.values())
     assert [warm[sequence_id, max_n].terms_checked for sequence_id in ("A189052", "A238343")
             for max_n in (0, 1, 16)] == [0, 1, 16, 0, 1, 56]
+
+
+# the raw read behind load_bfile and load_metadata closes every descriptor and keeps every chunk
+
+@pytest.mark.parametrize("content, error", [(b"1 1\n2 2\n", None),
+                                            (b"1 1\n# \xff\n", UnicodeDecodeError),
+                                            (None, IsADirectoryError)],
+                         ids=["utf8", "not-utf8", "directory"])
+def test_read_text_closes_every_descriptor_it_opens(tmp_path, monkeypatch, content, error):
+    from compstats.oeis import _read_text
+
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def tracked_open(*args, **kwargs):
+        fd = real_open(*args, **kwargs)
+        opened.append(fd)
+        return fd
+
+    def tracked_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", tracked_open)
+    monkeypatch.setattr(os, "close", tracked_close)
+    path = tmp_path / "b189052.txt"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if error is None:
+        assert _read_text(path) == content.decode()
+    else:
+        with pytest.raises(error):
+            _read_text(path)
+    assert len(opened) == 1
+    assert closed == opened
+
+
+def test_a_bfile_longer_than_one_read_chunk_loads_every_row(tmp_path):
+    from compstats.oeis import READ_CHUNK
+
+    comments = "# " + "x" * 97 + "\n"
+    rows = [(n, n * n) for n in range(1, 201)]
+    text = comments * (READ_CHUNK // len(comments) + 50) + "".join(
+        f"{n} {value}\n" for n, value in rows)
+    assert len(text) > READ_CHUNK + 5000
+    path = tmp_path / "b000290.txt"
+    path.write_text(text)
+    assert load_bfile(path).rows == tuple(rows)

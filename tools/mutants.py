@@ -105,6 +105,9 @@ MUTANTS = [
     (OEIS, "(metadata or {}).get(sequence_id, SEQUENCES.get(sequence_id))",
      "SEQUENCES.get(sequence_id, (metadata or {}).get(sequence_id))",
      "the SEQUENCES defaults override the metadata"),
+    (OEIS, "                chunks.append(chunk)\n",
+     "                chunks.append(chunk)\n                break\n",
+     "the raw read keeps only its first chunk"),
     ("src/compstats/suites.py",
      "inversions, major_index\n\n    for n in range(max_n + 1):",
      "inversions, major_index\n\n    for n in range(1, max_n + 1):",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import count, zip_longest
 from math import comb
 from operator import mul
@@ -123,39 +122,40 @@ def _poly(rows: Iterable[Iterable[int]], outer: str, inner: str) -> Poly:
 # Generating functions over compositions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_count_rows: dict = {}  # (kernel, k or None for all k) -> the rows at the widest cap built yet
+
+
 def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     """Row n lists the counts of the (k-)compositions of n by the kernel's statistic r, up to
     the last nonzero one.  The k-compositions contribute x^k K_k / (x)_k: the kernel K_k, cut at
     min(cap - k, C(k, 2)) (its degree is C(k, 2)) and padded to cap - k + 1 entries, is divided
-    by (x)_k in place; rows n < k are empty.  k <= cap, as :func:`_rows` answers k > cap.
-    Packed counts stay below 2^(cap-1) < 2^SLOT_BITS.  The all-k rows sum the memoised rows of
-    k = 0..cap, so an all-k table leaves the rows of every `--k` read at its cap in the memo.
+    by (x)_k in place; rows n < k are empty, so for k > cap all are, with no memo entry.  Row n
+    reads K_k up to x^(n-k) only and the division is causal, so a smaller cap reads a prefix of
+    the memoised rows; a larger one builds them again.  Packed counts stay below 2^(cap-1) <
+    2^SLOT_BITS.  The all-k rows sum the rows of k = 0..cap, so they leave those in the memo.
     The rows are shared: callers read them, never copy them."""
+    rows = _count_rows.get((kernel, k), ())
+    if 0 <= cap < len(rows):
+        return rows[:cap + 1]
     check_size("table", "cap", cap)
     if k is None:
         by_k = [_counts(kernel, cap, j) for j in range(cap + 1)]
-        return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0))) for rows in zip(*by_k))
-    check_nonnegative("k", k)
-    kern = kernel(k, min(cap - k, comb(k, 2)))
-    series = over_pochhammer(list(kern) + [0] * (cap - k + 1 - len(kern)), k)
-    return ((),) * k + tuple(map(tuple, map(unpack, series)))
-
-
-def _rows(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
-    """The count rows of :func:`_counts`, for every k.  A k-composition of n has n >= k, so for
-    k > cap every row is empty; that answer is given here, in front of the memo, and takes no
-    entry."""
-    if k is None or k <= cap:
-        return _counts(kernel, cap, k)
-    check_size("table", "cap", cap)
-    return ((),) * (cap + 1)
+        rows = tuple(tuple(map(sum, zip_longest(*per_n, fillvalue=0))) for per_n in zip(*by_k))
+    else:
+        check_nonnegative("k", k)
+        if k > cap:
+            return ((),) * (cap + 1)
+        kern = kernel(k, min(cap - k, comb(k, 2)))
+        series = over_pochhammer(list(kern) + [0] * (cap - k + 1 - len(kern)), k)
+        rows = ((),) * k + tuple(map(tuple, map(unpack, series)))
+    _count_rows[kernel, k] = rows
+    return rows
 
 
 def _series(kernel, size_var: str, stat_var: str, cap: int, k: int | None = None) -> Series:
     from .polynomial import Series
 
-    return Series(_poly(_rows(kernel, cap, k), size_var, stat_var), size_var, cap)
+    return Series(_poly(_counts(kernel, cap, k), size_var, stat_var), size_var, cap)
 
 
 def inv_gf(k: int, cap: int) -> Series:
@@ -308,8 +308,7 @@ class DistTable:
 
     @classmethod
     def _read(cls, kind: str, kernel, cap: int, k: int | None) -> DistTable:
-        rows = _rows(kernel, cap, k)
-        return cls(kind=f"{kind}_n" if k is None else f"{kind}_nk", cap=cap, k=k, rows=rows)
+        return cls(f"{kind}_n" if k is None else f"{kind}_nk", cap, k, _counts(kernel, cap, k))
 
     def _row(self, n: int) -> tuple[int, ...]:
         return self.rows[n] if 0 <= n < len(self.rows) else ()

@@ -147,10 +147,11 @@ def _read_only(value):
     return value
 
 
-def _sequence_meta(sequence_id: str,
-                   metadata: Mapping[str, Mapping] | None) -> tuple[str, int, int]:
-    """The sequence's (quantity, n_start, offset): ``metadata`` overrides the :data:`SEQUENCES`
-    defaults, and a mapping without n_start or offset starts both at 1.
+def _sequence_meta(sequence_id: str, max_n: int,
+                   metadata: Mapping[str, Mapping] | None) -> tuple[int, tuple[int, ...]]:
+    """The sequence's b-file offset and its memoised terms up to max_n, from one lookup of its
+    quantity, n_start and offset: ``metadata`` overrides the :data:`SEQUENCES` defaults, and a
+    mapping without n_start or offset starts both at 1.
 
     Raises UnknownSequence unless ``metadata`` maps sequence ids to mappings and the
     sequence's mapping names a quantity of :data:`QUANTITIES`, with sound indices.
@@ -168,16 +169,15 @@ def _sequence_meta(sequence_id: str,
     if type(n_start) is not int or n_start < 0 or type(offset) is not int:  # no bool either
         raise UnknownSequence(f"the metadata of sequence {sequence_id!r} needs a nonnegative "
                               f"int n_start and an int offset, not {n_start!r} and {offset!r}")
-    return meta["quantity"], n_start, offset
+    # every n_start past max_n gives no terms, so they share one key, and the keys stay
+    # within the table limit that max_n is checked against
+    return offset, _terms(meta["quantity"], min(n_start, max_n + 1), max_n)
 
 
 def sequence_terms(sequence_id: str, max_n: int,
                    metadata: Mapping[str, Mapping] | None = None) -> list[int]:
     """The artifact's values for the sequence, linearized to the b-file order."""
-    quantity, n_start, _ = _sequence_meta(sequence_id, metadata)
-    # every n_start past max_n gives no terms, so they share one key, and the keys stay
-    # within the table limit that max_n is checked against
-    return list(_terms(quantity, min(n_start, max_n + 1), max_n))
+    return list(_sequence_meta(sequence_id, max_n, metadata)[1])
 
 
 @lru_cache(maxsize=None)
@@ -215,8 +215,7 @@ class CheckReport(namedtuple("CheckReport", "sequence_id terms_checked agree fir
 def check_sequence(sequence_id: str, bfile: BFile, max_n: int,
                    metadata: Mapping[str, Mapping] | None = None) -> CheckReport:
     """Compare the b-file against computed values for all indices both cover."""
-    _, _, offset = _sequence_meta(sequence_id, metadata)
-    expected = sequence_terms(sequence_id, max_n, metadata)
+    offset, expected = _sequence_meta(sequence_id, max_n, metadata)
     end = offset + len(expected)
     checked = 0
     for index, value in bfile.rows:

@@ -420,6 +420,8 @@ def kernel_calls(monkeypatch, clear_memos):
 
 
 def test_a_cold_read_builds_each_kernel_it_needs_once(kernel_calls):
+    # a kernel is built once for the widest cap read so far: a smaller cap reads a prefix of
+    # its rows, and a larger cap builds it again
     DistTable.inversions(14, k=5)
     assert kernel_calls == [("ic", 5)]
     kernel_calls.clear()
@@ -427,7 +429,13 @@ def test_a_cold_read_builds_each_kernel_it_needs_once(kernel_calls):
     assert kernel_calls == [("dc", k) for k in range(10)]
     kernel_calls.clear()
     inversion_totals(9)
-    assert kernel_calls == [("ic", k) for k in range(1, 10)]
+    assert kernel_calls == [("ic", k) for k in range(1, 10) if k != 5]
+    kernel_calls.clear()
+    DistTable.inversions(14)
+    assert kernel_calls == [("ic", k) for k in range(15) if k != 5]
+    kernel_calls.clear()
+    DistTable.descents(10)
+    assert kernel_calls == [("dc", k) for k in range(11)]
 
 
 def test_a_repeated_read_builds_no_kernel(kernel_calls):
@@ -448,10 +456,10 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
     table = read(9)
     assert kernel_calls == [(kind, k) for k in range(10)]
     kernel_calls.clear()
-    misses = distributions._counts.cache_info().misses
+    assert len(distributions._count_rows) == 11
     by_k = [read(9, k=k) for k in range(10)]
     assert kernel_calls == []
-    assert distributions._counts.cache_info().misses == misses
+    assert len(distributions._count_rows) == 11
     for n, row in enumerate(table.rows):
         assert list(row) == [sum(per_k.count(n, r) for per_k in by_k) for r in range(len(row))]
 
@@ -459,10 +467,6 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
 def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
     # a part count above the cap, and a Gaussian binomial outside 0 <= k <= n, are answered
     # in front of the memos, so the memos stay bounded
-    def memo_entries():
-        return sum(value.cache_info().currsize for value in vars(distributions).values()
-                   if hasattr(value, "cache_info") and value.__module__ == distributions.__name__)
-
     clear_memos()
     for k in range(13, 1001):
         assert DistTable.inversions(12, k=k).rows == ((),) * 13
@@ -470,7 +474,7 @@ def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
     for k in range(5, 1001):
         assert inv_gf(k, 4) == Series(Poly.zero(), "p", 4)
         assert des_gf(k, 4) == Series(Poly.zero(), "q", 4)
-    assert memo_entries() == 0
+    assert distributions._count_rows == {}
     _gauss.cache_clear()
     for n in range(10):
         for k in (-2, -1, n + 1, n + 2):
@@ -478,11 +482,43 @@ def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
     assert _gauss.cache_info().currsize == 0
 
 
-def test_the_count_rows_are_the_only_distributions_memo():
+def test_the_count_rows_are_the_only_distributions_memo(clear_memos):
     # inversion_totals keeps no memo of its own: every call sums the memoised rows again
     memos = [name for name, value in vars(distributions).items()
-             if hasattr(value, "cache_info") and value.__module__ == distributions.__name__]
-    assert memos == ["_counts"]
+             if isinstance(value, (dict, list, set)) and not name.startswith("__")
+             or hasattr(value, "cache_info") and value.__module__ == distributions.__name__]
+    assert memos == ["_count_rows"]
+    clear_memos()
+    for _ in range(2):
+        inversion_totals(9)
+        assert len(distributions._count_rows) == 9
+
+
+def test_every_smaller_cap_reads_a_prefix_of_the_rows_at_the_limit(kernel_calls, clear_memos):
+    # the rows at a cap are a prefix of the rows at any larger cap, so once both all-k tables
+    # at the limit are built, the memo holds one entry per (kind, k), and every read at a
+    # smaller cap slices them, builds no kernel and equals a cold read
+    limit = LIMITS["table"]
+    reads = (DistTable.inversions, DistTable.descents)
+    cold = {}
+    for cap in range(limit + 1):
+        for read in reads:
+            clear_memos()
+            cold[read, cap, None] = read(cap)
+            clear_memos()  # each per-k read below builds its own kernel only
+            for k in range(cap + 2):
+                cold[read, cap, k] = read(cap, k)
+    clear_memos()
+    for read in reads:
+        read(limit)
+    assert len(distributions._count_rows) == 2 * (limit + 2) == 52
+    kernel_calls.clear()
+    for cap in range(limit, -1, -1):
+        for read in reads:
+            for k in (None, *range(cap + 2)):
+                assert read(cap, k) == cold[read, cap, k]
+    assert kernel_calls == []
+    assert len(distributions._count_rows) == 52
 
 
 def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):

@@ -300,6 +300,22 @@ def test_sequence_terms_returns_a_fresh_list():
     assert sequence_terms("A189074", 5) == [1, 2, 3, 1, 5, 2, 1, 7, 5, 3, 1]
 
 
+def test_a_check_looks_the_metadata_up_once(monkeypatch):
+    from compstats import oeis
+
+    calls = []
+    lookup = oeis._sequence_meta
+
+    def counted(*args):
+        calls.append(args[0])
+        return lookup(*args)
+
+    monkeypatch.setattr(oeis, "_sequence_meta", counted)
+    bfile = load_bfile(FIXTURES / "b189074.txt")
+    assert check_sequence("A189074", bfile, 12, load_metadata(FIXTURES / "metadata.json")).agree
+    assert calls == ["A189074"]
+
+
 def test_every_start_past_max_n_shares_one_terms_key(clear_memos):
     from compstats.oeis import _terms
 

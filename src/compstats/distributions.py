@@ -21,7 +21,7 @@ from itertools import count, zip_longest
 from math import comb
 from operator import mul
 
-from .errors import InexactDivision, check_nonnegative, check_size
+from .errors import check_nonnegative, check_size
 from .partitions import hook_quotient, partitions_of
 from .qanalog import over_pochhammer, pochhammer_inverse_series
 
@@ -134,10 +134,10 @@ def _counts(kernel, cap: int, k: int | None) -> tuple[tuple[int, ...], ...]:
     the memoised rows; a larger one builds them again.  Packed counts stay below 2^(cap-1) <
     2^SLOT_BITS.  The all-k rows sum the rows of k = 0..cap, so they leave those in the memo.
     The rows are shared: callers read them, never copy them."""
-    rows = _count_rows.get((kernel, k), ())
-    if 0 <= cap < len(rows):
-        return rows[:cap + 1]
     check_size("table", "cap", cap)
+    rows = _count_rows.get((kernel, k), ())
+    if cap < len(rows):
+        return rows[:cap + 1]
     if k is None:
         by_k = [_counts(kernel, cap, j) for j in range(cap + 1)]
         rows = tuple(tuple(map(sum, zip_longest(*per_n, fillvalue=0))) for per_n in zip(*by_k))
@@ -187,35 +187,25 @@ def des_gf_total(cap: int) -> Series:
 def des_gf_total_rational(cap: int) -> Series:
     """The descent series from its rational form, solved order by order in q on packed rows.
 
-    The denominator D(q, t) = sum_j q^C(j+1,2) (t-1)^j / (q)_j - t, cut at q^cap, is one packed
-    t-polynomial D_m per power q^m, with signed coefficients; D_0 must be exactly 1 - t.  Then
-    D * X = 1 - t is solved one power of q at a time: X_n is -sum_{m=1..n} D_m X_{n-m} divided
-    by 1 - t.  A packed polynomial is its value at t = 2^SLOT_BITS, so the integer remainder is
-    the numerator's value at t = 1 modulo 2^SLOT_BITS - 1.  In absolute value that value is at
-    most sum_m |D_m|_1 X_{n-m}(1) < 2^25 at cap 24, where |D_m|_1 sums D_m's absolute
-    coefficients, so the division is exact when, and only when, 1 - t divides the numerator.
-    The signed intermediates are never unpacked; the count rows X_n are, and stay below 2^23.
-    cap has des_gf_total's limit.
+    The form is X = (1 - t) / D, D(q, t) = sum_j q^C(j+1,2) (t-1)^j / (q)_j - t.  Its j = 0 term
+    is 1, so D = (1 - t)(1 - E) with E = sum_{j>=1} q^C(j+1,2) (t-1)^(j-1) / (q)_j: X = 1 / (1 - E).
+    E, cut at q^cap, is one packed t-polynomial E_m per power q^m, with signed coefficients and
+    E_0 = 0, so X_0 = 1 and X_n = sum_{m=1..n} E_m X_{n-m}, exact as packing is a ring map.  Only
+    the count rows X_n are unpacked; they stay below 2^23.  cap has des_gf_total's limit.
     """
     from .polynomial import Series
 
     check_size("table", "cap", cap)
-    one_minus_t = pack([1, -1])
-    by_q = [-pack([0, 1])] + [0] * cap
-    j = 0
+    by_q = [0] * (cap + 1)
+    j = 1
     while comb(j + 1, 2) <= cap:
-        shift, factor = comb(j + 1, 2), (-one_minus_t) ** j
+        shift, factor = comb(j + 1, 2), pack([-1, 1]) ** (j - 1)
         for m, c in enumerate(over_pochhammer([1] + [0] * (cap - shift), j), start=shift):
             by_q[m] += c * factor
         j += 1
-    if by_q[0] != one_minus_t:
-        raise InexactDivision("constant q-coefficient of the denominator is not the expected 1 - t")
     rows = [1]
     for n in range(1, cap + 1):
-        row, remainder = divmod(-sum(map(mul, by_q[n:0:-1], rows)), one_minus_t)
-        if remainder:
-            raise InexactDivision(f"1 - t does not divide the q^{n} numerator")
-        rows.append(row)
+        rows.append(sum(map(mul, by_q[n:0:-1], rows)))
     return Series(_poly(map(unpack, rows), "q", "t"), "q", cap)
 
 

@@ -349,11 +349,9 @@ def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, 
 @pytest.mark.parametrize("argv", [(), ("--k", "39")])
 def test_packed_slot_overflow_is_an_internal_error(capsys, monkeypatch, argv):
     # past cap 50 the descent kernel's weights outgrow a 64-bit slot (from k = 39 on),
-    # and unpack refuses the wrapped-around word; the rows built past the limit go to a memo
-    # of their own, so no later read past the limit is served from them
-    from compstats import distributions, errors
+    # and unpack refuses the wrapped-around word
+    from compstats import errors
 
-    monkeypatch.setattr(distributions, "_count_rows", {})
     monkeypatch.setitem(errors.LIMITS, "table", 51)
     code, out, err = run(capsys, "table", "dc", "--max-n", "51", *argv)
     assert code == 3
@@ -513,13 +511,10 @@ def test_oeis_check_negative_max_n_is_usage_error(capsys):
 
 
 def test_limits_have_one_source(capsys, monkeypatch):
-    # lowering a limit in errors.LIMITS moves the CLI bound and the library check together;
-    # the check guards what the count-row memo builds, and rows that earlier tests built to a
-    # wider cap would serve cap 11 without it, so the memo starts empty
-    from compstats import distributions, errors
+    # lowering a limit in errors.LIMITS moves the CLI bound and the library check together
+    from compstats import errors
     from compstats.distributions import DistTable, joint_gf
 
-    monkeypatch.setattr(distributions, "_count_rows", {})
     monkeypatch.setitem(errors.LIMITS, "table", 10)
     for argv in (["table", "ic", "--max-n", "11"],
                  ["verify", "--suite", "genfuncid", "--cap", "11"]):

@@ -26,7 +26,7 @@ from compstats.distributions import (
     q_eulerian_poly,
     unpack,
 )
-from compstats.errors import LIMITS, InexactDivision, TooLarge, check_size
+from compstats.errors import LIMITS, TooLarge, check_size
 from compstats.oracles import (
     maj_inv_poly_carlitz,
     verify_composition_count_identity,
@@ -252,8 +252,9 @@ def test_des_gf_against_brute_force():
 
 
 def test_des_gf_total_matches_rational_form():
-    # past the n <= 16 that enumeration reaches
-    assert des_gf_total_rational(LIMITS["table"]) == des_gf_total(LIMITS["table"])
+    # at every cap, past the n <= 16 that enumeration reaches
+    for cap in range(LIMITS["table"] + 1):
+        assert des_gf_total_rational(cap) == des_gf_total(cap)
 
 
 def test_des_gf_total_spot_values():
@@ -261,29 +262,6 @@ def test_des_gf_total_spot_values():
     assert total.coeff(q=3, t=1) == 1
     assert total.coeff(q=12, t=2) == 1013
     assert des_gf_total_rational(10).coeff(q=10, t=1) == 247
-
-
-def test_rational_route_broken_denominator_is_an_internal_error(monkeypatch):
-    # the constant q-coefficient of the denominator is 1 - t by construction, so any other
-    # value is a bug in the route, not a usage error
-    over_pochhammer = distributions.over_pochhammer
-    monkeypatch.setattr(distributions, "over_pochhammer",
-                        lambda coefficients, n: [2 * c for c in over_pochhammer(coefficients, n)])
-    with pytest.raises(InexactDivision, match="expected 1 - t"):
-        des_gf_total_rational(4)
-
-
-def test_rational_route_checks_every_order(monkeypatch):
-    # a j = 0 term of 1 + q leaves D_0 = 1 - t but adds 1 to D_1 = t - 1, so 1 - t no longer
-    # divides the q^1 numerator -D_1 = -t
-    over_pochhammer = distributions.over_pochhammer
-
-    def one_plus_q_at_j_0(coefficients, n):
-        return over_pochhammer(coefficients, n) if n else [1, 1] + [0] * (len(coefficients) - 2)
-
-    monkeypatch.setattr(distributions, "over_pochhammer", one_plus_q_at_j_0)
-    with pytest.raises(InexactDivision, match="q\\^1 numerator"):
-        des_gf_total_rational(4)
 
 
 def test_rational_route_runs_on_packed_rows(monkeypatch):
@@ -818,6 +796,17 @@ def test_dist_table_too_large():
                        (lambda: verify_composition_count_identity(2, over), "cap")):
         with pytest.raises(TooLarge, match=f"^{name} {over} exceeds the table limit"):
             call()
+
+
+def test_the_memo_serves_no_cap_past_the_limit(monkeypatch):
+    # the limit is checked before the memo answers: rows built under a raised limit serve
+    # no cap past it once it is restored
+    limit = LIMITS["table"]
+    monkeypatch.setitem(LIMITS, "table", limit + 2)
+    DistTable.inversions(limit + 2)
+    monkeypatch.setitem(LIMITS, "table", limit)
+    with pytest.raises(TooLarge, match=f"^cap {limit + 1} exceeds the table limit {limit}$"):
+        DistTable.inversions(limit + 1)
 
 
 def test_negative_sizes_are_refused_at_the_library_boundary():

@@ -64,8 +64,15 @@ MUTANTS = [
      "over_pochhammer skips the largest part"),
     (DIST, "while comb(j + 1, 2) <= cap:", "while comb(j + 1, 2) < cap:",
      "the rational route drops the last term of its denominator at a triangular cap"),
-    (DIST, "if by_q[0] != one_minus_t:", "if False:",
-     "the rational route no longer checks D_0 = 1 - t"),
+    (DIST, "factor = comb(j + 1, 2), pack([-1, 1]) ** (j - 1)",
+     "factor = comb(j + 1, 2), pack([-1, 1]) ** j",
+     "the rational route keeps the (t - 1) factor that D = (1 - t)(1 - E) cancels"),
+    (DIST, "    j = 1\n    while comb(j + 1, 2) <= cap:",
+     "    j = 2\n    while comb(j + 1, 2) <= cap:",
+     "the rational route leaves the j = 1 term out of E"),
+    (DIST, "rows.append(sum(map(mul, by_q[n:0:-1], rows)))",
+     "rows.append(sum(map(mul, by_q[n - 1:0:-1], rows)))",
+     "the rational route pairs E_m with X_{n-m-1}"),
     (DIST, "enumerate(_counts(_hook_sum, cap, k)[k:], start=k):",
      "enumerate(_counts(_hook_sum, cap, k)[k:cap], start=k):",
      "inversion_totals leaves out n = cap"),
@@ -120,8 +127,13 @@ MUTANTS = [
     (DIST, "        if k > cap:\n            return ((),) * (cap + 1)",
      "        if k > cap + 1:\n            return ((),) * (cap + 1)",
      "a part count above the cap takes a memo entry again"),
-    (DIST, "if 0 <= cap < len(rows):", "if 0 <= cap <= len(rows):",
+    (DIST, "if cap < len(rows):", "if cap <= len(rows):",
      "a cap past the widest rows is served from them"),
+    (DIST, 'check_size("table", "cap", cap)\n    rows = _count_rows.get((kernel, k), ())\n'
+           '    if cap < len(rows):\n        return rows[:cap + 1]\n',
+     'rows = _count_rows.get((kernel, k), ())\n    if 0 <= cap < len(rows):\n'
+     '        return rows[:cap + 1]\n    check_size("table", "cap", cap)\n',
+     "the count-row memo answers before the limit is checked"),
     ("src/compstats/qanalog.py", "return _gauss(n, k) if 0 <= k <= n else Poly.zero()",
      "return _gauss(n, k) if 0 <= k <= n else Poly.constant(int(k == n + 1))",
      "gaussian_binomial answers 1 one past n"),

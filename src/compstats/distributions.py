@@ -321,12 +321,10 @@ class DistTable:
 
     def to_csv(self, dense: bool = False) -> str:
         """CSV with header n,r,count; ``dense`` pads every row with explicit zeros."""
-        if dense:
-            width = max(self.max_r(), 0) + 1
-            entries = [(n, r, self.count(n, r)) for n in range(self.cap + 1) for r in range(width)]
-        else:
-            entries = self.sorted_entries()
-        return "n,r,count\n" + "".join(f"{n},{r},{c}\n" for n, r, c in entries)
+        width = max(self.max_r(), 0) + 1 if dense else 0
+        return "n,r,count\n" + "".join(
+            f"{n},{r},{c}\n" for n, row in enumerate(self.rows)
+            for r, c in enumerate(row + (0,) * (width - len(row))) if c or dense)
 
     def to_json_obj(self) -> dict:
         return {

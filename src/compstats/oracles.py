@@ -9,6 +9,7 @@ and the tests that call them, never by a table call.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from math import comb
 
@@ -24,13 +25,20 @@ def maj_inv_poly_carlitz(k: int) -> Poly:
     check_size("hk", "k", k)
     if k == 0:
         return Poly.one()
-    total = Poly.zero()
-    for j in range(k):
-        ratio = Poly.one()
-        for i in range(j + 1, k):
-            ratio = ratio * (1 - Poly.variable("p", i))
-        term = Poly.variable("p", j) * ratio * gaussian_binomial(k, j)
-        total = total + term * maj_inv_poly_carlitz(j)
+    total, ratio = Poly.zero(), Poly.one()  # ratio = prod_{i=j+1..k-1} (1 - p^i)
+    for j in range(k - 1, -1, -1):
+        total += Poly.variable("p", j) * ratio * gaussian_binomial(k, j) * maj_inv_poly_carlitz(j)
+        ratio *= 1 - Poly.variable("p", j)
+    return total
+
+
+def _q_exponential_sum(m: int, x: Poly | int, a: Callable[[int], Poly | int]) -> Poly:
+    """sum_{j=0..m} q^C(j,2) x^j gauss(m, j) a(m - j), x_j = x^j grown by one product per j: [m]_q!
+    times the z^m coefficient of E(xz) sum_i a(i) z^i/[i]_q!, E(z) = sum_j q^C(j,2) z^j/[j]_q!."""
+    total, x_j = Poly.zero(), Poly.one()
+    for j in range(m + 1):
+        total += Poly.variable("q", comb(j, 2)) * x_j * gaussian_binomial(m, j) * a(m - j)
+        x_j *= x
     return total
 
 
@@ -74,17 +82,9 @@ def verify_q_eulerian_gf(max_order: int) -> bool:
     q_eulerian_poly's limit.
     """
     check_size("hk", "max_order", max_order)
-    t_minus_one = Poly.variable("t") - 1
-    for m in range(1, max_order + 1):
-        lhs = Poly.zero()
-        for j in range(m + 1):
-            lhs = lhs + (Poly.variable("q", comb(j, 2))
-                         * t_minus_one ** j
-                         * gaussian_binomial(m, j)
-                         * q_eulerian_poly(m - j))
-        if lhs != Poly.variable("t") * q_eulerian_poly(m):
-            return False
-    return True
+    t = Poly.variable("t")
+    return all(_q_exponential_sum(m, t - 1, q_eulerian_poly) == t * q_eulerian_poly(m)
+               for m in range(1, max_order + 1))
 
 
 def verify_composition_count_identity(k: int, cap: int) -> bool:
@@ -109,14 +109,8 @@ def check_q_exponential_inverse(max_order: int) -> bool:
 
     The coefficient identity, cleared of factorial denominators, reads
     sum_{j=0..m} (-1)^j q^C(j,2) gauss(m, j) = 0 for every m >= 1.  Returns
-    True iff it holds for all 1 <= m <= max_order; max_order has the hk limit.
+    True iff it holds for all 1 <= m <= max_order; max_order has the hk limit.  It is the
+    t^0 coefficient of the identity :func:`verify_q_eulerian_gf` checks.
     """
     check_size("hk", "max_order", max_order)
-    for m in range(1, max_order + 1):
-        total = Poly.zero()
-        for j in range(m + 1):
-            sign = -1 if j % 2 else 1
-            total = total + sign * Poly.variable("q", comb(j, 2)) * gaussian_binomial(m, j)
-        if total:
-            return False
-    return True
+    return not any(_q_exponential_sum(m, -1, lambda i: 1) for m in range(1, max_order + 1))

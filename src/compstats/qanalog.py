@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from functools import lru_cache
 
 from .errors import InexactDivision, check_nonnegative
 
@@ -28,22 +27,21 @@ def q_factorial(n: int) -> Poly:
     return from_coefficients(q_quotient(range(1, n + 1), [1] * n), "q")
 
 
-@lru_cache(maxsize=None)
-def _gauss(n: int, k: int) -> Poly:
-    from .polynomial import Poly
-
-    if k == 0 or k == n:
-        return Poly.one()
-    # Pascal-type recurrence keeps everything inside the polynomial ring
-    return _gauss(n - 1, k - 1) + Poly.variable("q", k) * _gauss(n - 1, k)
-
-
 def gaussian_binomial(n: int, k: int) -> Poly:
-    """The Gaussian binomial coefficient [n, k]_q as a polynomial in q: 0 for k outside 0..n."""
+    """The Gaussian binomial coefficient [n, k]_q as a polynomial in q: 0 for k outside 0..n.
+    One q-Pascal pass over the rows s = 1..n, [s, c] = [s-1, c-1] + q^c [s-1, c], keeping
+    c <= min(k, n - k) since [n, k] = [n, n - k]; the route kept apart from q_quotient."""
     from .polynomial import Poly
 
     check_nonnegative("n", n)
-    return _gauss(n, k) if 0 <= k <= n else Poly.zero()
+    if not 0 <= k <= n:
+        return Poly.zero()
+    k = min(k, n - k)
+    row = [Poly.one()]
+    for s in range(1, n + 1):
+        inner = [row[c - 1] + Poly.variable("q", c) * row[c] for c in range(1, min(s, k + 1))]
+        row = [Poly.one(), *inner, Poly.one()][:k + 1]
+    return row[k]
 
 
 def _times_one_minus(coefficients: list[int], v: int) -> None:

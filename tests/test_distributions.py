@@ -36,7 +36,7 @@ from compstats.oracles import (
 from compstats.partitions import b_statistic, hook_quotient, partitions_of, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, monomial_key, p, q, t
-from compstats.qanalog import _gauss, gaussian_binomial, pochhammer_inverse_series, q_factorial
+from compstats.qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
 
 # the displayed small polynomials, frozen term for term
 H2 = 1 + p * q
@@ -231,7 +231,6 @@ def test_cross_checks_never_reach_the_q_quotient(monkeypatch):
 
     monkeypatch.setattr(qanalog, "q_quotient", broken)
     monkeypatch.setattr(partitions, "q_quotient", broken)
-    _gauss.cache_clear()
     maj_inv_poly_carlitz.cache_clear()
     after = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
              maj_inv_poly_carlitz(6))
@@ -443,8 +442,8 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
 
 
 def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
-    # a part count above the cap, and a Gaussian binomial outside 0 <= k <= n, are answered
-    # in front of the memos, so the memos stay bounded
+    # a part count above the cap is answered in front of the count-row memo, so the memo
+    # stays bounded; a Gaussian binomial outside 0 <= k <= n is 0
     clear_memos()
     for k in range(13, 1001):
         assert DistTable.inversions(12, k=k).rows == ((),) * 13
@@ -453,11 +452,9 @@ def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
         assert inv_gf(k, 4) == Series(Poly.zero(), "p", 4)
         assert des_gf(k, 4) == Series(Poly.zero(), "q", 4)
     assert distributions._count_rows == {}
-    _gauss.cache_clear()
     for n in range(10):
         for k in (-2, -1, n + 1, n + 2):
             assert gaussian_binomial(n, k) == 0
-    assert _gauss.cache_info().currsize == 0
 
 
 def test_the_count_rows_are_the_only_distributions_memo(clear_memos):

@@ -72,6 +72,11 @@ def test_gaussian_binomial_out_of_range():
         gaussian_binomial(-1, 0)
 
 
+def test_gaussian_binomial_of_a_large_n_is_one_loop():
+    # [n, 1]_q = 1 + q + ... + q^(n-1): a recursion over the rows would pass the stack limit
+    assert gaussian_binomial(1100, 1) == from_coefficients([1] * 1100, "q")
+
+
 MULTINOMIAL_PARTS = ((), (3,), (1, 1), (2, 1, 1), (3, 2), (2, 2, 1), (1, 1, 1, 1), (3, 1, 2))
 
 

@@ -89,10 +89,9 @@ MUTANTS = [
      'from .errors import check_nonnegative; check_nonnegative("n", n)',
      "partitions_of loses its upper bound"),
     ("src/compstats/oracles.py",
-     'check_size("hk", "max_order", max_order)\n    for m in range(1, max_order + 1):\n'
-     '        total = Poly.zero()',
+     'check_size("hk", "max_order", max_order)\n    return not any(',
      'from .errors import check_nonnegative; check_nonnegative("max_order", max_order)\n'
-     '    for m in range(1, max_order + 1):\n        total = Poly.zero()',
+     '    return not any(',
      "check_q_exponential_inverse loses its upper bound"),
     ("src/compstats/errors.py", "class InexactDivision(ArithmeticError):",
      "class InexactDivision(CompstatsError):",
@@ -134,9 +133,19 @@ MUTANTS = [
      'rows = _count_rows.get((kernel, k), ())\n    if 0 <= cap < len(rows):\n'
      '        return rows[:cap + 1]\n    check_size("table", "cap", cap)\n',
      "the count-row memo answers before the limit is checked"),
-    ("src/compstats/qanalog.py", "return _gauss(n, k) if 0 <= k <= n else Poly.zero()",
-     "return _gauss(n, k) if 0 <= k <= n else Poly.constant(int(k == n + 1))",
+    ("src/compstats/qanalog.py", "    if not 0 <= k <= n:\n        return Poly.zero()",
+     "    if not 0 <= k <= n:\n        return Poly.constant(int(k == n + 1))",
      "gaussian_binomial answers 1 one past n"),
+    ("src/compstats/qanalog.py", "for c in range(1, min(s, k + 1))]",
+     "for c in range(1, min(s, k))]",
+     "the q-Pascal loop drops entry k of each full row"),
+    ("src/compstats/oracles.py", "    for j in range(m + 1):\n        total += Poly.variable",
+     "    for j in range(m):\n        total += Poly.variable",
+     "the q-exponential sum drops its j = m term"),
+    ("src/compstats/oracles.py", 'ratio *= 1 - Poly.variable("p", j)',
+     'ratio *= 1 - Poly.variable("p", j + 1)',
+     "the Carlitz product grows by the wrong factor"),
+    (DIST, "if c or dense", "if c", "the dense CSV drops its zero counts"),
     (DIST, "TYPE_CHECKING = False  # typing's flag, without importing typing",
      "from typing import TYPE_CHECKING",
      "the table path imports typing again"),

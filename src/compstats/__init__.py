@@ -7,13 +7,13 @@ arbitrary-precision integer arithmetic.
 
 The names in ``__all__`` and the submodules resolve on first access
 (PEP 562), so importing one submodule, as every CLI call does, does not
-import the others: a table call loads neither ``polynomial`` nor ``oracles``.
+import the others: of them, a table call loads ``tables`` alone.
 """
 
 import sys
 
-_SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracles",
-               "partitions", "permutations", "polynomial", "qanalog", "statistics", "suites")
+_SUBMODULES = ("cli", "compositions", "distributions", "errors", "oeis", "oracles", "partitions",
+               "permutations", "polynomial", "qanalog", "statistics", "suites", "tables")
 
 # public name -> the submodule that defines it
 _SOURCES = {
@@ -21,16 +21,15 @@ _SOURCES = {
     for module, names in (
         ("polynomial", "Poly Series divexact"),
         ("qanalog", "gaussian_binomial pochhammer_inverse_series q_factorial"),
-        ("partitions", "b_statistic enumerate_standard_tableaux hook_lengths "
-                       "partitions_of q_eulerian_weight syt_count syt_count_q "
-                       "tableau_major_index"),
+        ("tables", "DistTable hook_lengths inversion_totals partitions_of"),
+        ("partitions", "b_statistic enumerate_standard_tableaux q_eulerian_weight syt_count "
+                       "syt_count_q tableau_major_index"),
         ("permutations", "all_permutations foata foata_inverse inverse_permutation "
                          "permutation_stats"),
         ("compositions", "composition_stats compositions_of macmahon_forward "
                          "macmahon_inverse reversed_composition sorting_permutation"),
-        ("distributions", "DistTable comaj_des_gf des_gf des_gf_total "
-                          "des_gf_total_rational inv_gf inv_gf_total "
-                          "inversion_totals joint_gf maj_inv_poly q_eulerian_poly"),
+        ("distributions", "comaj_des_gf des_gf des_gf_total des_gf_total_rational inv_gf "
+                          "inv_gf_total joint_gf maj_inv_poly q_eulerian_poly"),
         ("oracles", "check_q_exponential_inverse maj_inv_poly_carlitz "
                     "verify_composition_count_identity verify_product_expansion "
                     "verify_q_eulerian_gf"),

@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-# each subcommand imports what it runs, so a table never loads polynomial, the
-# verify suites, the oracles, or the enumeration or OEIS modules, and only JSON
-# output loads json
+# each subcommand imports what it runs, so a table loads tables alone: never the
+# closed forms, polynomial, the verify suites, the oracles, or the enumeration or
+# OEIS modules, and only JSON output loads json
 from .errors import LIMITS, CompstatsError
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
-    from .distributions import DistTable
+    from .tables import DistTable
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,12 +64,12 @@ def _render_grid(table: DistTable, columns: int) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from . import distributions
+    from .tables import DistTable
 
     if args.kind == "ic":
-        table = distributions.DistTable.inversions(args.max_n, k=args.k)
+        table = DistTable.inversions(args.max_n, k=args.k)
     else:
-        table = distributions.DistTable.descents(args.max_n, k=args.k)
+        table = DistTable.descents(args.max_n, k=args.k)
     if args.format == "csv":
         sys.stdout.write(table.to_csv(dense=args.dense))
     elif args.format == "json":

@@ -17,8 +17,8 @@ from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
-from .distributions import DistTable, inversion_totals
 from .errors import BFileParseError, NetworkUnavailable, UnknownSequence
+from .tables import DistTable, inversion_totals
 
 OEIS_BFILE_URL = "https://oeis.org/{seq}/b{digits}.txt"
 FETCH_TIMEOUT_S = 30.0

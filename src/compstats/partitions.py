@@ -1,60 +1,27 @@
-"""Integer partitions, Young diagrams, hook lengths, and tableau counting.
+"""Tableau counting over Young diagrams: hook-length counts, their q-analogs, and tableaux.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
-tuple is the unique partition of 0.  Enumeration is reverse-lexicographic so
-output order is stable across runs.
+tuple is the unique partition of 0.  Their enumeration and hook lengths live in
+:mod:`compstats.tables`, with the table path.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
-from functools import lru_cache
+from collections.abc import Sequence
 from math import factorial, prod
 
 from .errors import InexactDivision, check_partition, check_size
-from .qanalog import q_multinomial, q_quotient
+from .qanalog import q_multinomial
+# partitions_of is not used here: perfbench looks it up in this module
+from .tables import hook_lengths, hook_quotient, partitions_of  # noqa: F401
 
 # the hook kernel reads hook_quotient's lists, so syt_count_q alone imports polynomial, when called
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly
 
-Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
-
-
-def _descending_parts(n: int, largest: int) -> Iterator[Partition]:
-    """The partitions of n into parts at most ``largest``, the largest first part first."""
-    if n == 0:
-        yield ()
-    for first in range(min(n, largest), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first, *rest)
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in reverse-lexicographic order; n has the table limit."""
-    check_size("table", "n", n)
-    return tuple(_descending_parts(n, n))
-
-
-def conjugate(shape: Sequence[int]) -> Partition:
-    shape = check_partition(shape)
-    if not shape:
-        return ()
-    return tuple(sum(1 for part in shape if part > j) for j in range(shape[0]))
-
-
-def hook_lengths(shape: Sequence[int]) -> list[list[int]]:
-    """Hook lengths of each diagram cell: arm + leg + 1, row by row."""
-    shape = check_partition(shape)
-    cols = conjugate(shape)
-    return [
-        [(row_len - j - 1) + (cols[j] - i - 1) + 1 for j in range(row_len)]
-        for i, row_len in enumerate(shape)
-    ]
 
 
 def b_statistic(shape: Sequence[int]) -> int:
@@ -70,16 +37,6 @@ def syt_count(shape: Sequence[int]) -> int:
     if remainder:
         raise InexactDivision(f"hook product {product} does not divide {n}!")
     return count
-
-
-def hook_quotient(shape: Sequence[int]) -> list[int]:
-    """The coefficients of syt_count_q / q^b: [n]_q! / prod [h(u)]_q = (q)_n / prod (1 - q^h(u))."""
-    hooks = [h for row in hook_lengths(shape) for h in row]
-    try:
-        return q_quotient(range(1, len(hooks) + 1), hooks)
-    except InexactDivision:
-        raise InexactDivision(
-            f"the hook product of {tuple(shape)} does not divide [{len(hooks)}]_q!") from None
 
 
 def syt_count_q(shape: Sequence[int]) -> Poly:

@@ -1,19 +1,16 @@
 """q-analog building blocks: [n]_q!, Gaussian binomials, q-multinomials and 1/(q)_n.
 
 The polynomials are in the variable q (Poly.rename moves them).  [n]_q!, the q-multinomials and
-the hook quotients are all q_quotient; every division by a product of (1 - q^v) factors, there
-and in over_pochhammer, is one in-place pass over a dense list per factor.
+the hook quotients are all q_quotient; it and over_pochhammer, whose (1 - q^v) passes run on
+dense lists, live in :mod:`compstats.tables` with the table path.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable
+from .errors import check_nonnegative
+from .tables import over_pochhammer, q_quotient
 
-from .errors import InexactDivision, check_nonnegative
-
-# q_quotient and over_pochhammer work on lists, which is all a table call runs, so the
-# functions that return a Poly or a Series import polynomial when called
+# the functions that return a Poly or a Series import polynomial when called
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .polynomial import Poly, Series
@@ -44,35 +41,6 @@ def gaussian_binomial(n: int, k: int) -> Poly:
     return row[k]
 
 
-def _times_one_minus(coefficients: list[int], v: int) -> None:
-    """Multiply the power series ``coefficients`` in place by (1 - q^v), keeping its length."""
-    coefficients[v:] = [c - d for c, d in zip(coefficients[v:], coefficients)]
-
-
-def _over_one_minus(coefficients: list[int], v: int) -> None:
-    """Divide the power series ``coefficients`` in place by (1 - q^v), keeping its length."""
-    for j in range(v, len(coefficients)):
-        coefficients[j] += coefficients[j - v]
-
-
-def q_quotient(up: Iterable[int], down: Iterable[int]) -> list[int]:
-    """The coefficients of prod_{a in up} (1 - q^a) / prod_{b in down} (1 - q^b), all a, b > 0:
-    common factors cancelled, then one (1 - q^v) pass per factor left on a power series as long
-    as the numerator; its tail past the quotient's degree must vanish, or InexactDivision."""
-    surplus = Counter(up)
-    surplus.subtract(down)
-    numerator = sum(v * c for v, c in surplus.items() if c > 0)
-    degree = numerator + sum(v * c for v, c in surplus.items() if c < 0)
-    coefficients = [1] + [0] * numerator
-    for v, c in surplus.items():
-        for _ in range(abs(c)):
-            (_times_one_minus if c > 0 else _over_one_minus)(coefficients, v)
-    if degree < 0 or any(coefficients[degree + 1:]):
-        raise InexactDivision(f"prod (1 - q^b) over b in {sorted((-surplus).elements())} does "
-                              f"not divide prod (1 - q^a) over a in {sorted(surplus.elements())}")
-    return coefficients[:degree + 1]
-
-
 def q_multinomial(parts: tuple[int, ...]) -> Poly:
     """q-analog of the multinomial coefficient (sum parts; parts):
     [n]_q! / prod [m]_q! over the parts m, that is (q)_n / prod (q)_m."""
@@ -81,16 +49,6 @@ def q_multinomial(parts: tuple[int, ...]) -> Poly:
     check_nonnegative("part", min(parts, default=0))
     down = [v for m in parts for v in range(1, m + 1)]
     return from_coefficients(q_quotient(range(1, sum(parts) + 1), down), "q")
-
-
-def over_pochhammer(coefficients: list[int], n: int) -> list[int]:
-    """Divide the power series ``coefficients`` in place by (x)_n = (1 - x)(1 - x^2)...(1 - x^n),
-    keeping its length, and return it: one pass per part, and a part past the length is a no-op.
-    Packed entries divide as plain ints do.  On [1, 0, 0, ...] entry m counts the partitions of m
-    into parts at most n."""
-    for part in range(1, min(n, len(coefficients) - 1) + 1):
-        _over_one_minus(coefficients, part)
-    return coefficients
 
 
 def pochhammer_inverse_series(n: int, var: str, cap: int) -> Series:

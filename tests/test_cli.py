@@ -273,11 +273,11 @@ def test_verify_all_runs_each_suite_once(capsys, monkeypatch):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, clear_memos):
-    from compstats import partitions
+    from compstats import tables
 
     # hooks one too long leave (1 - q) / (1 - q^2) for the shape (1,): no polynomial
-    hook_lengths = partitions.hook_lengths
-    monkeypatch.setattr(partitions, "hook_lengths",
+    hook_lengths = tables.hook_lengths
+    monkeypatch.setattr(tables, "hook_lengths",
                         lambda shape: [[h + 1 for h in row] for row in hook_lengths(shape)])
     clear_memos()  # a memoised table would skip the hooks
     code, out, err = run(capsys, "table", "ic", "--max-n", "4")
@@ -324,11 +324,11 @@ def test_oeis_check_refuses_an_unanswerable_request_before_reading_a_bfile(
 
 
 def test_verify_reports_every_suite_past_an_internal_error(capsys, monkeypatch, clear_memos):
-    from compstats import cli, partitions, suites
+    from compstats import cli, suites, tables
 
     # the same broken hooks: prod builds the hook sums, and no other suite reads them
-    hook_lengths = partitions.hook_lengths
-    monkeypatch.setattr(partitions, "hook_lengths",
+    hook_lengths = tables.hook_lengths
+    monkeypatch.setattr(tables, "hook_lengths",
                         lambda shape: [[h + 1 for h in row] for row in hook_lengths(shape)])
     clear_memos()
     code, out, err = run(capsys, "verify", "--suite", "all")

@@ -5,26 +5,19 @@ from math import comb, factorial
 
 import pytest
 
-from compstats import distributions, oracles, partitions, polynomial, qanalog
+from compstats import distributions, oracles, polynomial, qanalog, tables
 from compstats.compositions import compositions_of, statistic_distribution as composition_distribution
 from compstats.distributions import (
-    SLOT_BITS,
-    DistTable,
-    _hook_sum,
     _poly,
-    _q_eulerian_sum,
     comaj_des_gf,
     des_gf,
     des_gf_total,
     des_gf_total_rational,
     inv_gf,
     inv_gf_total,
-    inversion_totals,
     joint_gf,
     maj_inv_poly,
-    pack,
     q_eulerian_poly,
-    unpack,
 )
 from compstats.errors import LIMITS, TooLarge, check_size
 from compstats.oracles import (
@@ -33,10 +26,21 @@ from compstats.oracles import (
     verify_product_expansion,
     verify_q_eulerian_gf,
 )
-from compstats.partitions import b_statistic, hook_quotient, partitions_of, q_eulerian_weight
+from compstats.partitions import b_statistic, q_eulerian_weight
 from compstats.permutations import statistic_distribution as permutation_distribution
 from compstats.polynomial import Poly, Series, monomial_key, p, q, t
 from compstats.qanalog import gaussian_binomial, pochhammer_inverse_series, q_factorial
+from compstats.tables import (
+    SLOT_BITS,
+    DistTable,
+    _hook_sum,
+    _q_eulerian_sum,
+    hook_quotient,
+    inversion_totals,
+    pack,
+    partitions_of,
+    unpack,
+)
 
 # the displayed small polynomials, frozen term for term
 H2 = 1 + p * q
@@ -169,7 +173,7 @@ def test_the_hook_kernel_lists_only_the_shapes_it_keeps(monkeypatch, clear_memos
         sizes.add(m)
         return partitions_of(m)
 
-    monkeypatch.setattr(distributions, "partitions_of", recorded)
+    monkeypatch.setattr(tables, "partitions_of", recorded)
     clear_memos()
     DistTable.inversions(LIMITS["table"])
     inversion_totals(LIMITS["table"])
@@ -230,7 +234,7 @@ def test_cross_checks_never_reach_the_q_quotient(monkeypatch):
         raise AssertionError("a cross-check called q_quotient")
 
     monkeypatch.setattr(qanalog, "q_quotient", broken)
-    monkeypatch.setattr(partitions, "q_quotient", broken)
+    monkeypatch.setattr(tables, "q_quotient", broken)
     maj_inv_poly_carlitz.cache_clear()
     after = ([gaussian_binomial(n, k) for n in range(9) for k in range(n + 1)],
              maj_inv_poly_carlitz(6))
@@ -390,8 +394,12 @@ def kernel_calls(monkeypatch, clear_memos):
             return kernel(k, cut)
         return wrapper
 
-    monkeypatch.setattr(distributions, "_hook_sum", logged("ic", _hook_sum))
-    monkeypatch.setattr(distributions, "_q_eulerian_sum", logged("dc", _q_eulerian_sum))
+    # the tables and the series key the count-row memo by one kernel object, so both
+    # modules get the same wrapper
+    hook, eulerian = logged("ic", _hook_sum), logged("dc", _q_eulerian_sum)
+    for module in (tables, distributions):
+        monkeypatch.setattr(module, "_hook_sum", hook)
+        monkeypatch.setattr(module, "_q_eulerian_sum", eulerian)
     clear_memos()
     return calls
 
@@ -433,10 +441,10 @@ def test_an_all_k_table_fills_the_rows_of_every_part_count(kernel_calls, kind, r
     table = read(9)
     assert kernel_calls == [(kind, k) for k in range(10)]
     kernel_calls.clear()
-    assert len(distributions._count_rows) == 11
+    assert len(tables._count_rows) == 11
     by_k = [read(9, k=k) for k in range(10)]
     assert kernel_calls == []
-    assert len(distributions._count_rows) == 11
+    assert len(tables._count_rows) == 11
     for n, row in enumerate(table.rows):
         assert list(row) == [sum(per_k.count(n, r) for per_k in by_k) for r in range(len(row))]
 
@@ -451,22 +459,25 @@ def test_part_counts_above_the_cap_add_no_memo_entry(clear_memos):
     for k in range(5, 1001):
         assert inv_gf(k, 4) == Series(Poly.zero(), "p", 4)
         assert des_gf(k, 4) == Series(Poly.zero(), "q", 4)
-    assert distributions._count_rows == {}
+    assert tables._count_rows == {}
     for n in range(10):
         for k in (-2, -1, n + 1, n + 2):
             assert gaussian_binomial(n, k) == 0
 
 
 def test_the_count_rows_are_the_only_distributions_memo(clear_memos):
-    # inversion_totals keeps no memo of its own: every call sums the memoised rows again
-    memos = [name for name, value in vars(distributions).items()
-             if isinstance(value, (dict, list, set)) and not name.startswith("__")
-             or hasattr(value, "cache_info") and value.__module__ == distributions.__name__]
-    assert memos == ["_count_rows"]
+    # inversion_totals keeps no memo of its own: every call sums the memoised rows again; the
+    # closed forms keep none, and the table path's only other memo is the partitions
+    def memos(module):
+        return [name for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")
+                or hasattr(value, "cache_info") and value.__module__ == module.__name__]
+    assert memos(distributions) == []
+    assert memos(tables) == ["partitions_of", "_count_rows"]
     clear_memos()
     for _ in range(2):
         inversion_totals(9)
-        assert len(distributions._count_rows) == 9
+        assert len(tables._count_rows) == 9
 
 
 def test_every_smaller_cap_reads_a_prefix_of_the_rows_at_the_limit(kernel_calls, clear_memos):
@@ -486,14 +497,14 @@ def test_every_smaller_cap_reads_a_prefix_of_the_rows_at_the_limit(kernel_calls,
     clear_memos()
     for read in reads:
         read(limit)
-    assert len(distributions._count_rows) == 2 * (limit + 2) == 52
+    assert len(tables._count_rows) == 2 * (limit + 2) == 52
     kernel_calls.clear()
     for cap in range(limit, -1, -1):
         for read in reads:
             for k in (None, *range(cap + 2)):
                 assert read(cap, k) == cold[read, cap, k]
     assert kernel_calls == []
-    assert len(distributions._count_rows) == 52
+    assert len(tables._count_rows) == 52
 
 
 def test_packed_path_multiplies_no_polys(monkeypatch, clear_memos):

@@ -13,19 +13,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the modules a table call may load beyond argparse and what it pulls in;
 # __future__ comes with ``from __future__ import annotations``, and a bare
-# interpreter may already hold math and collections.abc.  The table path works
-# on packed ints, so it never loads polynomial; hk builds a Poly from the same
-# kernel, so it adds polynomial alone.  Only JSON output loads json, and only
-# verify loads its suites
+# interpreter may already hold math and collections.abc.  Everything the table
+# path runs below the CLI is in compstats.tables, on packed ints, so it never
+# loads the closed forms or polynomial; hk builds a Poly from the same kernel,
+# so it adds distributions and polynomial alone.  Only JSON output loads json,
+# and only verify loads its suites
 TABLE_PATH = {
-    "compstats", "compstats.cli", "compstats.errors", "compstats.qanalog",
-    "compstats.partitions", "compstats.distributions",
+    "compstats", "compstats.cli", "compstats.errors", "compstats.tables",
     "__future__", "math", "collections.abc",
 }
-HK_PATH = TABLE_PATH | {"compstats.polynomial"}
+HK_PATH = TABLE_PATH | {"compstats.distributions", "compstats.polynomial"}
 NEVER_ON_TABLE_PATH = {
     "urllib.request", "compstats.oeis", "compstats.oracles", "compstats.permutations",
-    "compstats.compositions", "compstats.suites", "dataclasses", "json",
+    "compstats.compositions", "compstats.suites", "compstats.distributions",
+    "compstats.partitions", "compstats.qanalog", "dataclasses", "json",
 }
 BFILES = Path(__file__).parent / "data" / "oeis"
 
@@ -55,17 +56,18 @@ def test_cli_call_loads_only_what_its_subcommand_runs(argv):
     used = loaded_modules(
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     extra = used - bare
-    assert extra & NEVER_ON_TABLE_PATH == set()
-    assert extra - stdlib - (HK_PATH if argv[0] == "hk" else TABLE_PATH) == set()
+    path = HK_PATH if argv[0] == "hk" else TABLE_PATH
+    assert extra & (NEVER_ON_TABLE_PATH - path) == set()
+    assert extra - stdlib - path == set()
 
 
 TABLE_MODULES = {name for name in TABLE_PATH if name.partition(".")[0] == "compstats"}
-ORACLE_MODULES = TABLE_MODULES | {"compstats.polynomial", "compstats.oracles",
-                                  "compstats.suites"}
+ORACLE_MODULES = TABLE_MODULES | {"compstats.distributions", "compstats.qanalog",
+                                  "compstats.polynomial", "compstats.oracles", "compstats.suites"}
 
 
 # oeis-check reads the same tables and totals; the identity suites run the
-# oracles from the verify suites
+# oracles from the verify suites, which build the closed forms but no tableau counts
 @pytest.mark.parametrize("argv, modules", [
     (("oeis-check", "--seq", "A189073", "--bfile", str(BFILES / "b189073.txt"), "--max-n", "6"),
      TABLE_MODULES | {"compstats.oeis"}),
@@ -93,7 +95,7 @@ def test_enumerating_and_oeis_calls_do_not_load_dataclasses(argv):
 
 
 CLOSED_FORMS = {"compstats.distributions", "compstats.oracles", "compstats.partitions",
-                "compstats.qanalog"}
+                "compstats.qanalog", "compstats.tables"}
 NO_POLY = CLOSED_FORMS | {"compstats.polynomial"}
 
 
@@ -112,6 +114,28 @@ def test_enumerating_calls_do_not_load_the_closed_forms(argv, never):
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     assert used & (never | {"json"}) == set()
     assert ("compstats.suites" in used) == (argv[0] == "verify")
+
+
+# the names perfbench (tracer.py, session.py, sweep.py) looks up in the modules the table
+# path left; each must still resolve, in the module perfbench reads, to the one implementation
+PERFBENCH_LOOKUPS = [
+    ("distributions", "DistTable"), ("distributions", "inversion_totals"),
+    ("distributions", "inv_gf_total"), ("distributions", "des_gf_total_rational"),
+    ("distributions", "des_gf_total"), ("distributions", "inv_gf"),
+    ("partitions", "partitions_of"), ("partitions", "syt_count_q"),
+    ("partitions", "q_eulerian_weight"),
+    ("qanalog", "q_multinomial"), ("qanalog", "pochhammer_inverse_series"),
+    ("qanalog", "gaussian_binomial"),
+]
+MOVED_TO_TABLES = {"DistTable", "inversion_totals", "partitions_of"}
+
+
+@pytest.mark.parametrize("module, name", PERFBENCH_LOOKUPS)
+def test_the_names_perfbench_looks_up_resolve(module, name):
+    value = getattr(getattr(compstats, module), name)
+    home = "compstats.tables" if name in MOVED_TO_TABLES else f"compstats.{module}"
+    assert value.__module__ == home
+    assert getattr(sys.modules[home], name) is value
 
 
 def test_every_public_name_resolves():

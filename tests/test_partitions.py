@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from compstats.errors import LIMITS, TooLarge
 from compstats.partitions import (
     b_statistic,
-    conjugate,
     enumerate_standard_tableaux,
     hook_lengths,
     partitions_of,
@@ -17,6 +16,7 @@ from compstats.partitions import (
     tableau_major_index,
 )
 from compstats.polynomial import Poly, q
+from compstats.tables import conjugate
 
 
 @st.composite
@@ -33,12 +33,12 @@ def test_partitions_of_zero_and_small():
 
 
 def test_partitions_of_refuses_a_size_past_the_table_limit(monkeypatch):
-    from compstats import partitions
+    from compstats import tables
 
     def enumerate_nothing(n, largest):
         raise AssertionError("the partitions were enumerated")
 
-    monkeypatch.setattr(partitions, "_descending_parts", enumerate_nothing)
+    monkeypatch.setattr(tables, "_descending_parts", enumerate_nothing)
     over = LIMITS["table"] + 1
     with pytest.raises(TooLarge, match=f"^n {over} exceeds the table limit {over - 1}$"):
         partitions_of(over)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from compstats.compositions import compositions_of
-from compstats.distributions import SLOT_BITS, pack, unpack
 from compstats.errors import LIMITS, CapVarMismatch, InexactDivision
 from compstats.polynomial import (
     VARIABLES,
@@ -21,6 +20,7 @@ from compstats.polynomial import (
     v,
 )
 from compstats.qanalog import q_quotient
+from compstats.tables import SLOT_BITS, pack, unpack
 
 
 @st.composite

@@ -1,5 +1,9 @@
 """Command-line front end: tables, bijection round-trips, verification suites, OEIS checks.
 
+Arguments are read in one pass against the table ``COMMANDS``, without argparse: an option
+takes ``--name value``, ``--name=value`` or a unique prefix of its name, and ``-h`` prints
+the usage of the program or of a command.
+
 Exit codes: 0 success, 1 verification failure or value mismatch, 2 usage,
 parse or download error, 3 internal error (a bug in this package: an exact
 division left a remainder, or a packed count outgrew its slot), each read off
@@ -9,8 +13,8 @@ Output is deterministic: identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace as Namespace
 
 # each subcommand imports what it runs, so a table loads tables alone: never the
 # closed forms, polynomial, the verify suites, the oracles, or the enumeration or
@@ -19,6 +23,9 @@ from .errors import LIMITS, CompstatsError
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import NoReturn
+
     from .tables import DistTable
 
 EXIT_OK = 0
@@ -35,7 +42,7 @@ GRID_COLUMNS = {"ic": 13, "dc": 6}
 # hk
 # ---------------------------------------------------------------------------
 
-def cmd_hk(args: argparse.Namespace) -> int:
+def cmd_hk(args: Namespace) -> int:
     from . import distributions
 
     poly = distributions.maj_inv_poly(args.k)
@@ -63,7 +70,7 @@ def _render_grid(table: DistTable, columns: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: Namespace) -> int:
     from .tables import DistTable
 
     if args.kind == "ic":
@@ -83,7 +90,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 # bij
 # ---------------------------------------------------------------------------
 
-def cmd_bij(args: argparse.Namespace) -> int:
+def cmd_bij(args: Namespace) -> int:
     from .compositions import (format_composition, macmahon_forward, macmahon_inverse,
                                parse_composition)
     from .permutations import format_permutation
@@ -131,7 +138,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Namespace) -> int:
     from . import suites
 
     code = EXIT_OK
@@ -157,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # oeis-check
 # ---------------------------------------------------------------------------
 
-def cmd_oeis_check(args: argparse.Namespace) -> int:
+def cmd_oeis_check(args: Namespace) -> int:
     from pathlib import Path
 
     from . import oeis
@@ -185,56 +192,117 @@ def cmd_oeis_check(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="compstats",
-        description="Distributions of inversions and descents over integer compositions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of an argument that must be given
 
-    hk = sub.add_parser("hk", help="print the joint (maj, inv) polynomial over S_k")
-    hk.add_argument("k", type=int)
-    hk.add_argument("--format", choices=("text", "json"), default="text")
-    hk.set_defaults(func=cmd_hk)
-
-    table = sub.add_parser("table", help="emit a count triangle (inversions or descents)")
-    table.add_argument("kind", choices=("ic", "dc"))
-    table.add_argument("--max-n", type=int, required=True)
-    table.add_argument("--k", type=int, default=None,
-                       help="restrict to k-part compositions")
-    table.add_argument("--format", choices=("csv", "json", "grid"), default="grid")
-    table.add_argument("--dense", action="store_true",
-                       help="pad CSV output with explicit zero entries (csv only)")
-    table.set_defaults(func=cmd_table)
-
-    bij = sub.add_parser("bij", help="run the composition -> (permutation, partition) bijection")
-    bij.add_argument("composition", help='comma-separated parts, e.g. "4,2,1,5,3"; - reads stdin')
-    bij.set_defaults(func=cmd_bij)
-
-    verify = sub.add_parser("verify", help="run identity and bijection verification suites")
-    verify.add_argument("--suite", choices=("all", *SUITES), default="all")
-    verify.add_argument("--k", type=int, default=None, help="order / part-count bound")
-    verify.add_argument("--cap", type=int, default=None, help="series truncation cap")
-    verify.add_argument("--max-n", type=int, default=None, help="composition sum bound")
-    verify.set_defaults(func=cmd_verify)
-
-    check = sub.add_parser("oeis-check", help="compare computed values against an OEIS b-file")
-    check.add_argument("--seq", required=True, help="sequence id, e.g. A189074")
-    source = check.add_mutually_exclusive_group(required=True)
-    source.add_argument("--bfile", help="path to a local b-file")
-    source.add_argument("--fetch", action="store_true",
-                        help="download the b-file from oeis.org instead")
-    check.add_argument("--max-n", type=int, default=16)
-    check.set_defaults(func=cmd_oeis_check)
-
-    return parser
+# command -> (help, arguments); an argument is (name, kind, default, help), positional unless
+# its name starts with "--", of kind int, str, bool (a flag: it takes no value) or a tuple of
+# choices.  Reading this table, not building an argparse parser, keeps argparse out of a call
+COMMANDS = {
+    "hk": ("print the joint (maj, inv) polynomial over S_k", (
+        ("k", int, REQUIRED, "the order k of S_k"),
+        ("--format", ("text", "json"), "text", "output format"))),
+    "table": ("emit a count triangle (inversions or descents)", (
+        ("kind", ("ic", "dc"), REQUIRED, "ic (inversions) or dc (descents)"),
+        ("--max-n", int, REQUIRED, "largest composition sum"),
+        ("--k", int, None, "restrict to k-part compositions"),
+        ("--format", ("csv", "json", "grid"), "grid", "output format"),
+        ("--dense", bool, False, "pad CSV output with explicit zero entries (csv only)"))),
+    "bij": ("run the composition -> (permutation, partition) bijection", (
+        ("composition", str, REQUIRED, 'comma-separated parts, e.g. "4,2,1,5,3"; - reads stdin'),)),
+    "verify": ("run identity and bijection verification suites", (
+        ("--suite", ("all", *SUITES), "all", "the suite to run"),
+        ("--k", int, None, "order / part-count bound"),
+        ("--cap", int, None, "series truncation cap"),
+        ("--max-n", int, None, "composition sum bound"))),
+    "oeis-check": ("compare computed values against an OEIS b-file", (
+        ("--seq", str, REQUIRED, "sequence id, e.g. A189074"),
+        ("--bfile", str, None, "path to a local b-file"),
+        ("--fetch", bool, False, "download the b-file from oeis.org instead"),
+        ("--max-n", int, 16, "largest composition sum"))),
+}
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _parse(argv: list[str]) -> Namespace:
+    """Read ``argv`` against COMMANDS in one pass, then check its bounds with ``_validate``;
+    an input error prints a usage line and ``compstats[ <command>]: error: <message>`` to
+    stderr and exits 2, and -h or --help prints the usage and one line per argument."""
+    command, *tokens = argv or [""]
+    arguments = COMMANDS[command][1] if command in COMMANDS else ()
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    positional = [name for name in kinds if name[0] != "-"]
+
+    def usage(where: str) -> str:
+        if not where:
+            return "usage: compstats [-h] {" + ",".join(COMMANDS) + "} ..."
+        words = []
+        for name, kind, default, _ in arguments:
+            value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+            word = name if kind is bool or name[0] != "-" else f"{name} {value}"
+            words.append(word if default is REQUIRED else f"[{word}]")
+        return " ".join(["usage: compstats", where, "[-h]", *words])
+
+    def fail(message: str, where: str = command) -> NoReturn:
+        print(usage(where), f"{('compstats ' + where).rstrip()}: error: {message}",
+              sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+    def is_option(token: str) -> bool:  # "-" reads stdin, and "-1" is a negative int
+        return token[:1] == "-" and token != "-" and not token[1:].isdigit()
+
+    if command in ("-h", "--help") or arguments and {"-h", "--help"} & {*tokens}:
+        rows = [(name, text) for name, _, _, text in arguments] or [
+            (name, text) for name, (text, _) in COMMANDS.items()]
+        print(usage(command if arguments else ""), *(f"  {name:<13}{text}" for name, text in rows),
+              sep="\n")
+        raise SystemExit(EXIT_OK)
+    if not arguments:
+        fail(f"{f'unknown command {command!r}' if command else 'no command'}; "
+             f"choose one of {', '.join(COMMANDS)}", "")
+    given = {}
+    while tokens:
+        token = tokens.pop(0)
+        if is_option(token):
+            prefix, equals, value = token.partition("=")
+            names = [name for name in kinds if name == prefix] or [
+                name for name in kinds if name.startswith(prefix) and prefix != "--"]
+            if len(names) != 1:
+                fail(f"ambiguous option {prefix}: {', '.join(names)}" if names
+                     else f"unknown option {prefix}")
+            name = names[0]
+            if kinds[name] is bool:
+                value = True if not equals else fail(f"{name} takes no value")
+            elif not equals:
+                value = (tokens.pop(0) if tokens and not is_option(tokens[0])
+                         else fail(f"{name} needs a value"))
+        elif positional:
+            name, value = positional.pop(0), token
+        else:
+            fail(f"unexpected argument {token!r}")
+        if kinds[name] is int:
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"{name}: invalid int value {value!r}")
+        elif isinstance(kinds[name], tuple) and value not in kinds[name]:
+            fail(f"{name}: invalid choice {value!r} (choose from {', '.join(kinds[name])})")
+        given[name] = value
+    for name, _, default, _ in arguments:
+        if given.setdefault(name, default) is REQUIRED:
+            fail(f"{name} is required")
+    args = Namespace(command=command, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in given.items()})
+    if command == "oeis-check" and (args.bfile is None) != args.fetch:
+        fail("give exactly one of --bfile and --fetch")
+    _validate(lambda message: fail(message, ""), args)  # the top usage line, as under argparse
+    return args
+
+
+def _validate(fail: Callable[[str], NoReturn], args: Namespace) -> None:
     def bound(flag: str, value: int, limit: str | None = None, where: str = "") -> None:
         if value < 0:
-            parser.error(f"{flag} must be nonnegative")
+            fail(f"{flag} must be nonnegative")
         if limit is not None and value > LIMITS[limit]:
-            parser.error(f"{flag} is capped at {LIMITS[limit]}{where}")
+            fail(f"{flag} is capped at {LIMITS[limit]}{where}")
 
     if args.command == "hk":
         bound("k", args.k, "hk")
@@ -243,7 +311,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if args.k is not None:
             bound("--k", args.k)
         if args.dense and args.format != "csv":
-            parser.error("--dense applies only to --format csv")
+            fail("--dense applies only to --format csv")
     elif args.command == "oeis-check":
         bound("--max-n", args.max_n)  # the library refuses one above its table limit
     elif args.command == "verify":
@@ -255,17 +323,16 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             readers = {suite: bounds[option][1] for suite, bounds in runs.items()
                        if option in bounds}
             if not readers:
-                parser.error(f"--suite {args.suite} does not read {flag}")
+                fail(f"--suite {args.suite} does not read {flag}")
             for suite, limit in readers.items():
                 bound(flag, value, limit, f" for --suite {suite}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        # looked up at the call, so a wrapper bound to the module's name runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -272,15 +272,9 @@ class DistTable:
             f"{n},{r},{c}\n" for n, row in enumerate(self.rows)
             for r, c in enumerate(row + (0,) * (width - len(row))) if c or dense)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "cap": self.cap,
-            "entries": [[n, r, str(count)] for n, r, count in self.sorted_entries()],
-        }
-
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_obj())
+        """The bytes ``json.dumps`` writes for kind, k, cap and the entries [n, r, "count"],
+        written directly: the kind is one of four ASCII names, so nothing needs escaping."""
+        entries = ", ".join(f'[{n}, {r}, "{count}"]' for n, r, count in self.sorted_entries())
+        k = "null" if self.k is None else self.k
+        return f'{{"kind": "{self.kind}", "k": {k}, "cap": {self.cap}, "entries": [{entries}]}}'

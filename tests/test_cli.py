@@ -590,3 +590,120 @@ def test_oeis_check_requires_source(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("usage: compstats oeis-check")
         assert "--bfile" in err.splitlines()[-1] and "--fetch" in err.splitlines()[-1]
+
+
+BFILE = str(DATA / "oeis" / "b189074.txt")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param((), "no command", id="missing-command"),
+    pytest.param(("tables", "ic"), "unknown command 'tables'", id="unknown-command"),
+    pytest.param(("table", "ic", "--max-n", "3", "--bogus"), "unknown option --bogus",
+                 id="unknown-option"),
+    pytest.param(("hk", "-x"), "unknown option -x", id="unknown-short-option"),
+    pytest.param(("table", "ic", "--max-n"), "--max-n needs a value", id="missing-value"),
+    pytest.param(("oeis-check", "--seq", "--fetch"), "--seq needs a value", id="option-for-value"),
+    pytest.param(("table", "ic", "--max-n", "x"), "--max-n: invalid int value 'x'", id="bad-int"),
+    pytest.param(("table", "xc", "--max-n", "3"), "kind: invalid choice 'xc'",
+                 id="bad-positional-choice"),
+    pytest.param(("table", "ic", "--max-n", "3", "--format", "xml"),
+                 "--format: invalid choice 'xml'", id="bad-choice"),
+    pytest.param(("verify", "--suite", "nosuch"), "--suite: invalid choice 'nosuch'",
+                 id="bad-suite"),
+    pytest.param(("table", "ic"), "--max-n is required", id="missing-required"),
+    pytest.param(("table", "--max-n", "3"), "kind is required", id="missing-positional"),
+    pytest.param(("bij",), "composition is required", id="missing-composition"),
+    pytest.param(("oeis-check", "--bfile", BFILE), "--seq is required", id="missing-seq"),
+    pytest.param(("oeis-check", "--seq", "A189074"), "give exactly one of --bfile and --fetch",
+                 id="neither-source"),
+    pytest.param(("oeis-check", "--seq", "A189074", "--bfile", BFILE, "--fetch"),
+                 "give exactly one of --bfile and --fetch", id="both-sources"),
+    pytest.param(("table", "ic", "--max-n", "3", "--format", "csv", "--dense=yes"),
+                 "--dense takes no value", id="flag-with-value"),
+    pytest.param(("bij", "1,2", "3"), "unexpected argument '3'", id="extra-positional"),
+])
+def test_input_errors_print_usage_and_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 2
+    command = argv[0] if argv and argv[0] != "tables" else ""
+    assert lines[0].startswith(f"usage: compstats {command}".rstrip())
+    assert lines[1].startswith(f"compstats {command}".rstrip() + ": error: ")
+    assert message in lines[1]
+
+
+def test_an_ambiguous_prefix_is_an_input_error(capsys, monkeypatch):
+    from compstats import cli
+
+    help_text, arguments = cli.COMMANDS["hk"]
+    monkeypatch.setitem(cli.COMMANDS, "hk", (help_text, (
+        *arguments, ("--fold", bool, False, "a second option starting with --f"))))
+    with pytest.raises(SystemExit) as exc:
+        main(["hk", "2", "--f", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[1] == (
+        "compstats hk: error: ambiguous option --f: --format, --fold")
+    # an exact name wins over the names it prefixes
+    monkeypatch.setitem(cli.COMMANDS, "hk", (help_text, (
+        *arguments, ("--formats", bool, False, "an option that --format prefixes"))))
+    assert run(capsys, "hk", "2", "--format", "json")[1] == '{"k": 2, "terms": ' + (
+        '[{"exponents": {}, "coefficient": "1"}, '
+        '{"exponents": {"p": 1, "q": 1}, "coefficient": "1"}]}\n')
+
+
+def test_bound_errors_keep_the_top_level_usage(capsys):
+    # the bound checks run after the parse and print the top-level usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "ic", "--max-n", "25"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: compstats [-h] {hk,table,bij,verify,oeis-check} ...\n"
+        "compstats: error: --max-n is capped at 24\n")
+    for argv, flag in ((["hk", "-1"], "k"), (["table", "ic", "--max-n", "3", "--k", "-1"], "--k"),
+                       (["table", "dc", "--max-n=-2"], "--max-n")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"compstats: error: {flag} must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), *((command, flag) for command in
+                            ("hk", "table", "bij", "verify", "oeis-check")
+                            for flag in ("-h", "--help")),
+    ("table", "ic", "--max-n", "3", "--bogus", "-h"),
+])
+def test_help_prints_usage_and_one_line_per_argument(capsys, argv):
+    from compstats import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    if argv[0] in cli.COMMANDS:
+        assert lines[0].startswith(f"usage: compstats {argv[0]} [-h] ")
+        rows = [(name, text) for name, _, _, text in cli.COMMANDS[argv[0]][1]]
+    else:
+        assert lines[0] == "usage: compstats [-h] {hk,table,bij,verify,oeis-check} ..."
+        rows = [(name, text) for name, (text, _) in cli.COMMANDS.items()]
+    assert [line.split(None, 1) for line in lines[1:]] == [[name, text] for name, text in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "ic", "--max-n=7", "--format=csv", "--k=2"),
+    ("table", "ic", "--max", "7", "--form", "csv", "--k", "2"),
+    ("table", "ic", "--m=7", "--f=csv", "--k", "2"),
+    ("table", "--format", "grid", "--max-n", "3", "--k", "5", "ic", "--format", "csv",
+     "--max-n", "7", "--k", "2"),
+])
+def test_option_syntax_parses_like_name_space_value(capsys, argv):
+    # --name=value, a unique prefix and a repeated option (the last value wins) read as
+    # --name value does
+    expected = run(capsys, "table", "ic", "--max-n", "7", "--format", "csv", "--k", "2")
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected

@@ -894,3 +894,8 @@ def test_dist_table_json():
     assert data["cap"] == 4
     assert [3, 1, "1"] in data["entries"]
     assert all(isinstance(entry[2], str) for entry in data["entries"])
+    # to_json writes its text without json, byte for byte what json.dumps writes
+    for build in (DistTable.inversions, DistTable.descents):
+        for k in (None, 0, 2, 9):
+            text = build(8, k=k).to_json()
+            assert json.dumps(json.loads(text)) == text

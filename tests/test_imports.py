@@ -11,23 +11,19 @@ import compstats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the modules a table call may load beyond argparse and what it pulls in;
-# __future__ comes with ``from __future__ import annotations``, and a bare
-# interpreter may already hold math and collections.abc.  Everything the table
-# path runs below the CLI is in compstats.tables, on packed ints, so it never
-# loads the closed forms or polynomial; hk builds a Poly from the same kernel,
-# so it adds distributions and polynomial alone.  Only JSON output loads json,
-# and only verify loads its suites
+# the modules a table call loads under -S beyond a bare interpreter, each named: the
+# package's own, __future__ for ``from __future__ import annotations``, types for the
+# parsed arguments, and the stdlib modules that tables imports (collections, functools,
+# itertools, math, operator) with what they pull in.  Everything the table path runs below
+# the CLI is in compstats.tables, on packed ints, so it never loads the closed forms or
+# polynomial; hk builds a Poly from the same kernel, so it adds distributions and polynomial
+# alone.  No table call loads json, in any format: DistTable.to_json writes its text itself
 TABLE_PATH = {
-    "compstats", "compstats.cli", "compstats.errors", "compstats.tables",
-    "__future__", "math", "collections.abc",
+    "compstats", "compstats.cli", "compstats.errors", "compstats.tables", "__future__",
+    "collections", "collections.abc", "_collections", "_collections_abc", "functools",
+    "_functools", "itertools", "keyword", "math", "operator", "_operator", "reprlib", "types",
 }
 HK_PATH = TABLE_PATH | {"compstats.distributions", "compstats.polynomial"}
-NEVER_ON_TABLE_PATH = {
-    "urllib.request", "compstats.oeis", "compstats.oracles", "compstats.permutations",
-    "compstats.compositions", "compstats.suites", "compstats.distributions",
-    "compstats.partitions", "compstats.qanalog", "dataclasses", "json",
-}
 BFILES = Path(__file__).parent / "data" / "oeis"
 
 
@@ -45,20 +41,29 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
 
 @pytest.mark.parametrize("argv", [("table", "ic", "--max-n", "4"), ("hk", "3"),
                                   ("table", "dc", "--max-n", "4", "--k", "2"),
-                                  ("table", "ic", "--max-n", "4", "--format", "csv")])
+                                  ("table", "ic", "--max-n", "4", "--format", "csv"),
+                                  ("table", "dc", "--max-n", "4", "--format", "csv", "--dense"),
+                                  ("table", "ic", "--max-n", "4", "--format", "json"),
+                                  ("table", "dc", "--max-n", "4", "--k", "2", "--format", "json")])
 def test_cli_call_loads_only_what_its_subcommand_runs(argv):
     bare = loaded_modules("")
-    stdlib = loaded_modules(
-        "import argparse\n"
-        "parser = argparse.ArgumentParser()\n"
-        "parser.add_argument('--n')\n"
-        "parser.parse_args([])\n")
     used = loaded_modules(
         "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
-    extra = used - bare
-    path = HK_PATH if argv[0] == "hk" else TABLE_PATH
-    assert extra & (NEVER_ON_TABLE_PATH - path) == set()
-    assert extra - stdlib - path == set()
+    assert used - bare - (HK_PATH if argv[0] == "hk" else TABLE_PATH) == set()
+
+
+# the command table is read in one pass, so no call builds an argparse parser, and none
+# loads argparse or the gettext and locale modules it brings
+@pytest.mark.parametrize("argv", [
+    ("table", "ic", "--max-n", "4", "--format", "json"), ("hk", "3", "--format", "json"),
+    ("verify", "--suite", "genfuncid", "--k", "2", "--cap", "4"),
+    ("verify", "--suite", "foata", "--k", "3"), ("bij", "2,1"),
+    ("oeis-check", "--seq", "A189074", "--bfile", str(BFILES / "b189074.txt"), "--max-n", "4"),
+])
+def test_no_cli_call_loads_argparse(argv):
+    used = loaded_modules(
+        "import sys\nfrom compstats.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+    assert used & {"argparse", "gettext", "locale"} == set()
 
 
 TABLE_MODULES = {name for name in TABLE_PATH if name.partition(".")[0] == "compstats"}

@@ -198,6 +198,15 @@ MUTANTS = [
      "    from .distributions import DistTable\n\n    if args.kind",
      "a table call compiles the closed forms again",
      "tests/test_imports.py::test_cli_call_loads_only_what_its_subcommand_runs[argv0]"),
+    ("src/compstats/cli.py",
+     '        if given.setdefault(name, default) is REQUIRED:\n            fail(f"{name} is required")',
+     "        given.setdefault(name, default)",
+     "the parser drops its required-argument check",
+     "tests/test_cli.py::test_input_errors_print_usage_and_exit_2[missing-required]"),
+    ("src/compstats/cli.py", "elif isinstance(kinds[name], tuple) and value not in kinds[name]:",
+     "elif isinstance(kinds[name], tuple) and value is None:",
+     "the parser skips its choices check",
+     "tests/test_cli.py::test_input_errors_print_usage_and_exit_2[bad-choice]"),
 ]
 
 

@@ -5,13 +5,150 @@ order, and returns ``(passed, detail)``.  Each imports what it runs: an
 identity suite never loads the enumerations, an enumerating suite never loads
 the closed forms, and only the suites that compare polynomials load
 ``polynomial``.  Only ``cli.cmd_verify`` imports this module.
+
+The checks that test each object of an enumeration on its own (lemma, macmahon
+and foata) run it through :func:`first_failure`, which splits the objects
+between two processes where ``os.fork`` exists.
 """
 
 from __future__ import annotations
 
+import os
+
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+    from typing import TypeVar
+
     from .polynomial import Poly
+
+    T = TypeVar("T")
+    # (position, failure detail or exception), or None when every object passed
+    Event = tuple[float, str | BaseException] | None
+
+# where an enumeration that raised ranks: both halves enumerate every object, so both meet
+# the exception at the same place, after every test either of them ran
+_PAST_EVERY_TEST = float("inf")
+
+
+def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None]
+                  ) -> str | None:
+    """The failure detail of the first object of ``objects()``, in its order, or None.
+
+    ``objects`` returns a fresh enumeration at each call, and ``test`` returns a failure
+    detail, or None for an object that passes.  Where ``os.fork`` exists, one child process
+    tests the odd-numbered objects and this one the even-numbered ones, each enumerating
+    on its own.  The earlier of the two first events (a failure or an exception) decides,
+    so the result, or the exception raised, is the one a sequential pass gives.  A child
+    that dies, exits nonzero or sends a malformed report raises ArithmeticError.
+    """
+    if not hasattr(os, "fork"):
+        return _outcome(_first_event(objects, test, 0, 1))
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: it never returns, whatever its half raises
+        status = 1
+        try:
+            os.close(read_end)
+            report = _encode(_first_event(objects, test, 1, 2))
+            while report:
+                report = report[os.write(write_end, report):]
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(write_end)
+        mine = _first_event(objects, test, 0, 2)
+        chunks = []
+        while chunk := os.read(read_end, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_end)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        ending = f"signal {-status}" if status < 0 else f"exit status {status}"
+        raise ArithmeticError(f"the process testing the odd-numbered objects ended with "
+                              f"{ending} before it reported")
+    theirs = _decode(b"".join(chunks))
+    if theirs is not None and (mine is None or theirs[0] < mine[0]):
+        mine = theirs
+    return _outcome(mine)
+
+
+def _first_event(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None],
+                 start: int, step: int) -> Event:
+    """The first event among the objects at positions start, start + step, ..."""
+    from itertools import islice
+
+    try:
+        picked = islice(objects(), start, None, step)
+    except Exception as exc:
+        return _PAST_EVERY_TEST, exc
+    position = start
+    while True:
+        try:
+            obj = next(picked)
+        except StopIteration:
+            return None
+        except Exception as exc:
+            return _PAST_EVERY_TEST, exc
+        try:
+            detail = test(obj)
+        except Exception as exc:
+            return position, exc
+        if detail is not None:
+            return position, detail
+        position += step
+
+
+def _outcome(event: Event) -> str | None:
+    if event is None:
+        return None
+    if isinstance(event[1], BaseException):
+        raise event[1]
+    return event[1]
+
+
+def _encode(event: Event) -> bytes:
+    """The child's report: an exception travels as its class's module, name and args."""
+    import marshal
+
+    if event is None or isinstance(event[1], str):
+        return marshal.dumps(event)
+    position, exc = event
+    cls = type(exc)
+    try:
+        return marshal.dumps((position, cls.__module__, cls.__qualname__, exc.args))
+    except ValueError:  # an argument marshal cannot write: keep the message
+        return marshal.dumps((position, cls.__module__, cls.__qualname__, (str(exc),)))
+
+
+def _decode(report: bytes) -> Event:
+    import marshal
+    import sys
+
+    try:
+        event = marshal.loads(report)
+        if event is None:
+            return None
+        if len(event) == 2 and isinstance(event[0], (int, float)) and isinstance(event[1], str):
+            return event
+        position, module, qualname, args = event
+        cls = sys.modules[module]
+        for name in qualname.split("."):
+            cls = getattr(cls, name)
+        if (isinstance(position, (int, float)) and isinstance(args, tuple)
+                and isinstance(cls, type) and issubclass(cls, BaseException)):
+            return position, cls(*args)
+    except Exception:
+        pass
+    raise ArithmeticError(f"the process testing the odd-numbered objects sent a malformed "
+                          f"report {report[:80]!r}")
 
 
 def _first_poly_difference(a: Poly, b: Poly) -> str:
@@ -55,21 +192,26 @@ def check_lemma(max_n: int) -> tuple[bool, str]:
     from .permutations import inverse_permutation
     from .statistics import comajor_index, descent_number, inversions, major_index
 
-    for n in range(max_n + 1):
-        for sigma in all_compositions(n):
-            pi = sorting_permutation(sigma)
-            inverse = inverse_permutation(pi)
-            rev = reversed_composition(sigma)
-            pairs = (
-                ("inv", inversions(pi), inversions(rev)),
-                ("imaj=comaj^R", major_index(inverse), comajor_index(rev)),
-                ("icomaj=maj^R", comajor_index(inverse), major_index(rev)),
-                ("ides=des^R", descent_number(inverse), descent_number(rev)),
-            )
-            for label, actual, expected in pairs:
-                if actual != expected:
-                    return False, (f"sigma={format_composition(sigma)}: {label} "
-                                   f"expected {expected}, got {actual}")
+    def test(sigma: tuple[int, ...]) -> str | None:
+        pi = sorting_permutation(sigma)
+        inverse = inverse_permutation(pi)
+        rev = reversed_composition(sigma)
+        pairs = (
+            ("inv", inversions(pi), inversions(rev)),
+            ("imaj=comaj^R", major_index(inverse), comajor_index(rev)),
+            ("icomaj=maj^R", comajor_index(inverse), major_index(rev)),
+            ("ides=des^R", descent_number(inverse), descent_number(rev)),
+        )
+        for label, actual, expected in pairs:
+            if actual != expected:
+                return (f"sigma={format_composition(sigma)}: {label} "
+                        f"expected {expected}, got {actual}")
+        return None
+
+    failure = first_failure(
+        lambda: (sigma for n in range(max_n + 1) for sigma in all_compositions(n)), test)
+    if failure is not None:
+        return False, failure
     return True, f"all compositions with sum <= {max_n}"
 
 
@@ -78,17 +220,21 @@ def check_macmahon(max_n: int) -> tuple[bool, str]:
                                macmahon_inverse)
     from .statistics import major_index
 
-    for n in range(max_n + 1):
-        for sigma in all_compositions(n):
-            pi, lam = macmahon_forward(sigma)
-            maj = major_index(pi)
-            if sum(lam) + maj != n:
-                return False, (f"sigma={format_composition(sigma)}: "
-                               f"|lambda| + maj = {sum(lam)} + {maj} != {n}")
-            back = macmahon_inverse(pi, lam)
-            if back != sigma:
-                return False, (f"sigma={format_composition(sigma)}: round-trip "
-                               f"gave {format_composition(back)}")
+    def test(sigma: tuple[int, ...]) -> str | None:
+        pi, lam = macmahon_forward(sigma)
+        n, maj = sum(sigma), major_index(pi)
+        if sum(lam) + maj != n:
+            return (f"sigma={format_composition(sigma)}: "
+                    f"|lambda| + maj = {sum(lam)} + {maj} != {n}")
+        back = macmahon_inverse(pi, lam)
+        if back != sigma:
+            return f"sigma={format_composition(sigma)}: round-trip gave {format_composition(back)}"
+        return None
+
+    failure = first_failure(
+        lambda: (sigma for n in range(max_n + 1) for sigma in all_compositions(n)), test)
+    if failure is not None:
+        return False, failure
     return True, f"all compositions with sum <= {max_n}"
 
 
@@ -120,18 +266,22 @@ def check_foata(max_k: int) -> tuple[bool, str]:
     from .statistics import inversions, major_index
 
     # foata checks pi and foata_inverse checks the image: one validation per permutation
-    for k in range(max_k + 1):
-        for pi in all_permutations(k):
-            image = foata(pi)
-            maj, inv = major_index(pi), inversions(image)
-            if maj != inv:
-                return False, f"pi={format_permutation(pi)}: maj {maj} != inv(foata) {inv}"
-            before, after = _inverse_descent_set(pi), _inverse_descent_set(image)
-            if before != after:
-                return False, (f"pi={format_permutation(pi)}: inverse descent set "
-                               f"{before} became {after}")
-            if foata_inverse(image) != pi:
-                return False, f"pi={format_permutation(pi)}: foata round-trip failed"
+    def test(pi: tuple[int, ...]) -> str | None:
+        image = foata(pi)
+        maj, inv = major_index(pi), inversions(image)
+        if maj != inv:
+            return f"pi={format_permutation(pi)}: maj {maj} != inv(foata) {inv}"
+        before, after = _inverse_descent_set(pi), _inverse_descent_set(image)
+        if before != after:
+            return f"pi={format_permutation(pi)}: inverse descent set {before} became {after}"
+        if foata_inverse(image) != pi:
+            return f"pi={format_permutation(pi)}: foata round-trip failed"
+        return None
+
+    failure = first_failure(
+        lambda: (pi for k in range(max_k + 1) for pi in all_permutations(k)), test)
+    if failure is not None:
+        return False, failure
     return True, f"S_k for k 0..{max_k}"
 
 

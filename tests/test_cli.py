@@ -384,6 +384,8 @@ def test_foata_check_validates_each_permutation_once(monkeypatch):
     from compstats import permutations, suites
     from compstats.statistics import descent_set
 
+    # with fork, this process would validate only its half of the permutations
+    monkeypatch.delattr(os, "fork")
     for k in range(7):
         for pi in permutations.all_permutations(k):
             assert (suites._inverse_descent_set(pi)
@@ -395,6 +397,168 @@ def test_foata_check_validates_each_permutation_once(monkeypatch):
     assert suites.check_foata(5) == (True, "S_k for k 0..5")
     # foata(pi) checks pi and foata_inverse checks its image, nothing else
     assert len(checked) == 2 * sum(factorial(k) for k in range(6))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def foata_positions(max_k):
+    from compstats.permutations import all_permutations
+
+    return [pi for k in range(max_k + 1) for pi in all_permutations(k)]
+
+
+def break_foata_round_trip(monkeypatch, targets, breaking=None):
+    """Make foata_inverse give a wrong preimage, or call ``breaking``, for each target."""
+    from compstats import permutations
+
+    foata_inverse = permutations.foata_inverse
+
+    def broken(image):
+        pi = foata_inverse(image)
+        if pi not in targets:
+            return pi
+        return breaking(pi) if breaking else pi[::-1]
+
+    monkeypatch.setattr(permutations, "foata_inverse", broken)
+
+
+# positions in the order S_0, S_1, ... of check_foata's sweep: odd ones are the child's
+@pytest.mark.parametrize("positions", [(17,), (20,), (17, 20), (20, 23), (3,), (2, 3)],
+                         ids=["odd", "even", "odd-then-even", "even-then-odd", "early-odd",
+                              "adjacent"])
+def test_foata_split_reports_the_first_failure_of_either_half(capsys, monkeypatch, positions):
+    objects = foata_positions(4)
+    first = objects[min(positions)]
+    break_foata_round_trip(monkeypatch, {objects[i] for i in positions})
+    split = run(capsys, "verify", "--suite", "foata", "--k", "4")
+    assert_no_child_left()
+    assert split == (1, f"FAIL foata: pi={''.join(map(str, first))}: foata round-trip failed\n", "")
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "verify", "--suite", "foata", "--k", "4") == split
+
+
+@pytest.mark.parametrize("suite, name", [("lemma", "reversed_composition"),
+                                         ("macmahon", "macmahon_inverse")])
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+def test_composition_splits_report_the_failure_a_single_pass_reports(
+        capsys, monkeypatch, suite, name, parity):
+    from compstats import compositions
+
+    objects = [sigma for n in range(7) for sigma in compositions.all_compositions(n)]
+    target = next(sigma for i, sigma in enumerate(objects)
+                  if i >= 20 and i % 2 == parity and sigma != sigma[::-1])
+    function = getattr(compositions, name)
+
+    def broken(*args):
+        result = function(*args)
+        if name == "reversed_composition":  # the target's reverse comes back unreversed
+            return args[0] if args[0] == target else result
+        return result[::-1] if result == target else result  # its round trip, reversed
+
+    monkeypatch.setattr(compositions, name, broken)
+    split = run(capsys, "verify", "--suite", suite, "--max-n", "6")
+    assert_no_child_left()
+    assert split[0] == 1
+    assert split[1].startswith(f"FAIL {suite}: sigma={compositions.format_composition(target)}: ")
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "verify", "--suite", suite, "--max-n", "6") == split
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (ArithmeticError("planted fault"), 3, "ERROR foata: internal error: planted fault"),
+    (ValueError("planted refusal"), 2, "ERROR foata: planted refusal")])
+def test_an_exception_on_the_childs_half_reaches_verify(capsys, monkeypatch, error, code, line):
+    objects = foata_positions(4)
+
+    def fail(pi):
+        raise error
+
+    # the child's half fails at 17, before the parent's half passes its last object
+    break_foata_round_trip(monkeypatch, {objects[17]}, fail)
+    split = run(capsys, "verify", "--suite", "foata", "--k", "4")
+    assert_no_child_left()
+    assert split == (code, line + "\n", "")
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "verify", "--suite", "foata", "--k", "4") == split
+
+
+def test_the_childs_exception_keeps_its_class_and_message(monkeypatch):
+    from compstats import suites
+    from compstats.errors import InexactDivision, TooLarge
+
+    # an argument marshal cannot write travels as the message
+    unwritable = ValueError(object())
+    for error in (InexactDivision("remainder 1 + q"), TooLarge("k", 9, 7), KeyError("k"),
+                  unwritable):
+        def test(x, error=error):
+            if x == 5:
+                raise error
+            return None
+
+        with pytest.raises(type(error)) as raised:
+            suites.first_failure(lambda: range(10), test)
+        assert_no_child_left()
+        assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+        assert error is unwritable or raised.value.args == error.args
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["split", "sequential"])
+def test_first_failure_takes_the_earliest_event_of_either_half(monkeypatch, fork):
+    from compstats import suites
+
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+
+    def objects(fail_at=None):
+        for x in range(20):
+            if x == fail_at:
+                raise ValueError(f"no object {x}")
+            yield x
+
+    def test(x):
+        return f"object {x}" if x in failing else None
+
+    for failing, expected in (((), None), ((19,), "object 19"), ((4, 7), "object 4"),
+                              ((7, 12), "object 7"), ((0, 1), "object 0")):
+        assert suites.first_failure(objects, test) == expected
+        assert_no_child_left()
+    # the enumeration raising ranks after the tests of every object it gave
+    for failing in ((8,), (9,)):
+        assert suites.first_failure(lambda: objects(fail_at=10), test) == f"object {failing[0]}"
+        assert_no_child_left()
+    failing = ()
+    for fail_at in (0, 9, 10):
+        with pytest.raises(ValueError, match=f"no object {fail_at}"):
+            suites.first_failure(lambda: objects(fail_at=fail_at), test)
+        assert_no_child_left()
+
+
+def test_a_child_that_dies_is_an_internal_error(capsys, monkeypatch):
+    from compstats import suites
+
+    parent = os.getpid()
+    objects = foata_positions(4)
+
+    def die(pi):
+        if os.getpid() != parent:
+            os._exit(1)
+        return pi
+
+    break_foata_round_trip(monkeypatch, {objects[17]}, die)
+    code, out, err = run(capsys, "verify", "--suite", "foata", "--k", "4")
+    assert_no_child_left()
+    assert (code, out, err) == (3, "ERROR foata: internal error: the process testing the "
+                                   "odd-numbered objects ended with exit status 1 before it "
+                                   "reported\n", "")
+    # a child that exits 0 with a report the parent cannot read never passes either
+    monkeypatch.undo()
+    monkeypatch.setattr(suites, "_encode", lambda event: b"not a report")
+    with pytest.raises(ArithmeticError, match="sent a malformed report b'not a report'"):
+        suites.check_lemma(4)
+    assert_no_child_left()
 
 
 def test_verify_all_output_is_golden(capsys):

@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIST = "src/compstats/distributions.py"
 OEIS = "src/compstats/oeis.py"
+SUITES = "src/compstats/suites.py"
 TABLES = "src/compstats/tables.py"
 
 # (file, old text, new text, what the mutant breaks, the pytest node id of the test that kills it)
@@ -148,11 +149,17 @@ MUTANTS = [
      "                chunks.append(chunk)\n                break\n",
      "the raw read keeps only its first chunk",
      "tests/test_oeis.py::test_a_bfile_longer_than_one_read_chunk_loads_every_row"),
-    ("src/compstats/suites.py",
-     "inversions, major_index\n\n    for n in range(max_n + 1):",
-     "inversions, major_index\n\n    for n in range(1, max_n + 1):",
+    (SUITES,
+     "got {actual}\")\n        return None\n\n    failure = first_failure(\n"
+     "        lambda: (sigma for n in range(max_n + 1)",
+     "got {actual}\")\n        return None\n\n    failure = first_failure(\n"
+     "        lambda: (sigma for n in range(1, max_n + 1)",
      "verify lemma sweeps from n = 1 again, past the empty composition",
      "tests/test_cli.py::test_verify_max_n_zero_checks_the_empty_composition[lemma]"),
+    (SUITES, "    if theirs is not None and (mine is None or theirs[0] < mine[0]):",
+     "    if False:",
+     "the parent ignores the child's report",
+     "tests/test_cli.py::test_foata_split_reports_the_first_failure_of_either_half[odd]"),
     (TABLES,
      "    shape = check_partition(shape)\n    cols = conjugate(shape)",
      "    shape = check_partition(shape)\n    if not shape:\n"

@@ -82,9 +82,12 @@ def reversed_composition(sigma: Sequence[int]) -> Composition:
 
 def sorting_permutation(sigma: Sequence[int]) -> Permutation:
     """The unique permutation sorting sigma weakly decreasingly, ties by increasing index."""
-    sigma = check_composition(sigma)
-    # a stable sort keeps tied parts in increasing index order
-    return tuple(sorted(range(1, len(sigma) + 1), key=lambda i: -sigma[i - 1]))
+    return _sorting_permutation(check_composition(sigma))
+
+
+def _sorting_permutation(sigma: Composition) -> Permutation:
+    # a stable sort, reversed or not, keeps tied parts in increasing index order
+    return tuple(sorted(range(1, len(sigma) + 1), key=(0, *sigma).__getitem__, reverse=True))
 
 
 def _descent_shifts(pi: Permutation) -> list[int]:
@@ -103,8 +106,8 @@ def macmahon_forward(sigma: Sequence[int]) -> tuple[Permutation, tuple[int, ...]
     yields a partition with |partition| + maj(permutation) = |sigma|.
     """
     sigma = check_composition(sigma)
-    pi = sorting_permutation(sigma)
-    lam = tuple(sigma[i - 1] - shift for i, shift in zip(pi, _descent_shifts(pi)))
+    pi = _sorting_permutation(sigma)
+    lam = tuple([sigma[i - 1] - shift for i, shift in zip(pi, _descent_shifts(pi))])
     return pi, check_partition(lam)
 
 

@@ -3,8 +3,9 @@
 These apply uniformly to permutations and to compositions (repetitions
 allowed).  Positions are 1-based throughout, matching the usual combinatorial
 conventions.  :data:`STATISTICS` names them; :mod:`.permutations` and
-:mod:`.compositions` extend it with their own statistics, and
-:func:`distribution` counts objects by any names of such a table.
+:mod:`.compositions` extend it with their own statistics.  :func:`tally` counts objects
+by the values of any statistics, and :func:`distribution` turns those counts into a
+polynomial, the statistics named from such a table.
 """
 
 from __future__ import annotations
@@ -33,19 +34,29 @@ def descent_set(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple([i for i in range(1, len(seq)) if seq[i - 1] > seq[i]])
 
 
+def descent_stats(seq: Sequence[int]) -> tuple[int, int, int]:
+    """(des, maj, comaj) in one pass: the descent count, the sum of the descent positions i
+    and the sum of k - i over them, where k is the tuple length."""
+    des = maj = 0
+    for i in range(1, len(seq)):
+        if seq[i - 1] > seq[i]:
+            des += 1
+            maj += i
+    return des, maj, len(seq) * des - maj
+
+
 def descent_number(seq: Sequence[int]) -> int:
-    return len(descent_set(seq))
+    return descent_stats(seq)[0]
 
 
 def major_index(seq: Sequence[int]) -> int:
     """Sum of the descent positions."""
-    return sum(descent_set(seq))
+    return descent_stats(seq)[1]
 
 
 def comajor_index(seq: Sequence[int]) -> int:
     """Sum of k - i over descent positions i, where k is the tuple length."""
-    k = len(seq)
-    return sum(k - i for i in descent_set(seq))
+    return descent_stats(seq)[2]
 
 
 Statistic = Callable[[Sequence[int]], int]
@@ -57,6 +68,16 @@ STATISTICS: dict[str, Statistic] = {
     "maj": major_index,
     "comaj": comajor_index,
 }
+
+
+def tally(objects: Iterable[Sequence[int]], measures: Sequence[Statistic]
+          ) -> dict[tuple[int, ...], int]:
+    """How many of ``objects`` give each tuple of values of ``measures``."""
+    counts: dict[tuple[int, ...], int] = {}
+    for obj in objects:
+        values = tuple([measure(obj) for measure in measures])
+        counts[values] = counts.get(values, 0) + 1
+    return counts
 
 
 def distribution(objects: Iterable[Sequence[int]], stats: Sequence[str],
@@ -71,9 +92,7 @@ def distribution(objects: Iterable[Sequence[int]], stats: Sequence[str],
     for stat in stats:
         if stat not in table:
             raise ValueError(f"unknown statistic {stat!r}; expected one of {tuple(table)}")
-    measured = [(var, table[stat]) for stat, var in zip(stats, variables)]
-    accumulator: dict = {}
-    for obj in objects:
-        key = monomial_key({var: statistic(obj) for var, statistic in measured})
-        accumulator[key] = accumulator.get(key, 0) + 1
-    return Poly(accumulator)
+    counts = tally(objects, [table[stat] for stat in stats])
+    # distinct variables send distinct value tuples to distinct monomials
+    return Poly({monomial_key(dict(zip(variables, values))): count
+                 for values, count in counts.items()})

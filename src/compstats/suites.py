@@ -8,7 +8,8 @@ the closed forms, and only the suites that compare polynomials load
 
 The checks that test each object of an enumeration on its own (lemma, macmahon
 and foata) run it through :func:`first_failure`, which splits the objects
-between two processes where ``os.fork`` exists.
+between two processes where ``os.fork`` exists.  equidist, which counts its
+objects, splits them through the same :func:`_in_two_processes`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ if TYPE_CHECKING:
     from .polynomial import Poly
 
     T = TypeVar("T")
+    R = TypeVar("R")
     # (position, failure detail or exception), or None when every object passed
     Event = tuple[float, str | BaseException] | None
 
@@ -44,6 +46,22 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
     """
     if not hasattr(os, "fork"):
         return _outcome(_first_event(objects, test, 0, 1))
+    mine, report = _in_two_processes(
+        lambda start, step: _first_event(objects, test, start, step), _encode)
+    theirs = _decode(report)
+    if theirs is not None and (mine is None or theirs[0] < mine[0]):
+        mine = theirs
+    return _outcome(mine)
+
+
+def _in_two_processes(work: Callable[[int, int], R], encode: Callable[[R], bytes]
+                      ) -> tuple[R, bytes]:
+    """``work(0, 2)`` from this process and the report ``encode(work(1, 2))`` from a child.
+
+    The child is forked for its half and sends its report through a pipe.  Both pipe ends
+    are closed and the child is reaped whatever this process's half raises; a child that
+    dies or exits nonzero, say when its half raises, raises ArithmeticError.
+    """
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -55,7 +73,7 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
         status = 1
         try:
             os.close(read_end)
-            report = _encode(_first_event(objects, test, 1, 2))
+            report = encode(work(1, 2))
             while report:
                 report = report[os.write(write_end, report):]
             status = 0
@@ -63,7 +81,7 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
             os._exit(status)
     try:
         os.close(write_end)
-        mine = _first_event(objects, test, 0, 2)
+        mine = work(0, 2)
         chunks = []
         while chunk := os.read(read_end, 1 << 16):
             chunks.append(chunk)
@@ -74,10 +92,7 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
         ending = f"signal {-status}" if status < 0 else f"exit status {status}"
         raise ArithmeticError(f"the process testing the odd-numbered objects ended with "
                               f"{ending} before it reported")
-    theirs = _decode(b"".join(chunks))
-    if theirs is not None and (mine is None or theirs[0] < mine[0]):
-        mine = theirs
-    return _outcome(mine)
+    return mine, b"".join(chunks)
 
 
 def _first_event(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None],
@@ -147,8 +162,12 @@ def _decode(report: bytes) -> Event:
             return position, cls(*args)
     except Exception:
         pass
-    raise ArithmeticError(f"the process testing the odd-numbered objects sent a malformed "
-                          f"report {report[:80]!r}")
+    raise _malformed(report)
+
+
+def _malformed(report: bytes) -> ArithmeticError:
+    return ArithmeticError(f"the process testing the odd-numbered objects sent a malformed "
+                           f"report {report[:80]!r}")
 
 
 def _first_poly_difference(a: Poly, b: Poly) -> str:
@@ -190,17 +209,18 @@ def check_lemma(max_n: int) -> tuple[bool, str]:
     from .compositions import (all_compositions, format_composition, reversed_composition,
                                sorting_permutation)
     from .permutations import inverse_permutation
-    from .statistics import comajor_index, descent_number, inversions, major_index
+    from .statistics import descent_stats, inversions
 
     def test(sigma: tuple[int, ...]) -> str | None:
         pi = sorting_permutation(sigma)
-        inverse = inverse_permutation(pi)
         rev = reversed_composition(sigma)
+        ides, imaj, icomaj = descent_stats(inverse_permutation(pi))
+        des, maj, comaj = descent_stats(rev)
         pairs = (
             ("inv", inversions(pi), inversions(rev)),
-            ("imaj=comaj^R", major_index(inverse), comajor_index(rev)),
-            ("icomaj=maj^R", comajor_index(inverse), major_index(rev)),
-            ("ides=des^R", descent_number(inverse), descent_number(rev)),
+            ("imaj=comaj^R", imaj, comaj),
+            ("icomaj=maj^R", icomaj, maj),
+            ("ides=des^R", ides, des),
         )
         for label, actual, expected in pairs:
             if actual != expected:
@@ -285,39 +305,92 @@ def check_foata(max_k: int) -> tuple[bool, str]:
     return True, f"S_k for k 0..{max_k}"
 
 
-def _pair(joint: Poly, first: str, second: str) -> Poly:
-    """The distribution of two variables of ``joint``, the others set to 1, renamed to (p, q)."""
-    for var in joint.variables_used() - {first, second}:
-        joint = joint.eval_at_one(var)
-    return joint.rename({first: "p", second: "q"})
-
-
 def check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
-    from .compositions import statistic_distribution as composition_distribution
-    from .permutations import statistic_distribution as permutation_distribution
+    from itertools import chain, islice
 
-    # one enumeration per k; each pair distribution is read off the joint one
-    variable = {"imaj": "p", "maj": "q", "inv": "t"}
-    for k in range(max_k + 1):
-        joint = permutation_distribution(k, tuple(variable), tuple(variable.values()))
-        reference = _pair(joint, variable["imaj"], variable["maj"])
-        for stats in (("inv", "imaj"), ("maj", "inv")):
-            other = _pair(joint, variable[stats[0]], variable[stats[1]])
-            if other != reference:
-                return False, (f"k={k}: ({stats[0]},{stats[1]}) distribution differs: "
-                               + _first_poly_difference(other, reference))
-        swapped = reference.rename({"p": "q", "q": "p"})
-        if swapped != reference:
-            return False, f"k={k}: joint distribution is not symmetric"
+    from . import compositions, permutations
+    from .errors import check_size
+    from .statistics import tally
+
     comp_max_k = min(max_k, 5)
-    variable = {"sum": "p", "inv": "q", "maj": "t", "comaj": "u"}
-    for k in range(comp_max_k + 1):
-        joint = composition_distribution(k, cap, tuple(variable),
-                                         tuple(variable.values())).body
-        reference = _pair(joint, variable["sum"], variable["inv"])
-        for stat in ("maj", "comaj"):
-            other = _pair(joint, variable["sum"], variable[stat])
-            if other != reference:
-                return False, (f"k={k}: (sum,{stat}) over compositions differs: "
-                               + _first_poly_difference(other, reference))
+    if max_k >= 0:  # refused here, before either process enumerates
+        check_size("permutations", "k", max_k)
+        check_size("compositions", "cap", cap)
+    # one joint count per k, over S_k by (imaj, maj, inv) and over the k-part compositions
+    # with sum <= cap by (sum, inv, maj, comaj); each pair is read off the joint one
+    by_permutation = [permutations.STATISTICS[name] for name in ("imaj", "maj", "inv")]
+    by_composition = [compositions.STATISTICS[name] for name in ("sum", "inv", "maj", "comaj")]
+
+    def tallies(start: int, step: int) -> list[dict[tuple[int, ...], int]]:
+        joints = [tally(islice(permutations.all_permutations(k), start, None, step),
+                        by_permutation) for k in range(max_k + 1)]
+        for k in range(comp_max_k + 1):
+            objects = chain.from_iterable([compositions.compositions_of(n, k)
+                                           for n in range(k, cap + 1)])
+            joints.append(tally(islice(objects, start, None, step), by_composition))
+        return joints
+
+    if hasattr(os, "fork"):
+        joints, report = _in_two_processes(tallies, _encode_counts)
+        _add_counts(joints, report)
+    else:
+        joints = tallies(0, 1)
+    for k, joint in enumerate(joints[:max_k + 1]):
+        reference = _pair_counts(joint, 0, 1)
+        for label, first, second in (("inv,imaj", 2, 0), ("maj,inv", 1, 2)):
+            difference = _first_count_difference(_pair_counts(joint, first, second), reference)
+            if difference is not None:
+                return False, f"k={k}: ({label}) distribution differs: {difference}"
+        if any(reference.get((b, a)) != count for (a, b), count in reference.items()):
+            return False, f"k={k}: joint distribution is not symmetric"
+    for k, joint in enumerate(joints[max_k + 1:]):
+        reference = _pair_counts(joint, 0, 1)
+        for stat, index in (("maj", 2), ("comaj", 3)):
+            difference = _first_count_difference(_pair_counts(joint, 0, index), reference)
+            if difference is not None:
+                return False, f"k={k}: (sum,{stat}) over compositions differs: {difference}"
     return True, f"S_k for k 0..{max_k}; compositions k 0..{comp_max_k}, cap {cap}"
+
+
+def _encode_counts(joints: list[dict[tuple[int, ...], int]]) -> bytes:
+    import marshal
+
+    return marshal.dumps(joints)
+
+
+def _add_counts(joints: list[dict[tuple[int, ...], int]], report: bytes) -> None:
+    """Add the child's counts, a marshalled list like ``joints``, into ``joints``."""
+    import marshal
+
+    try:
+        theirs = marshal.loads(report)
+        if type(theirs) is not list or len(theirs) != len(joints):
+            raise ValueError
+        for joint, more in zip(joints, theirs):
+            for values, count in more.items():
+                joint[values] = joint.get(values, 0) + count
+    except Exception:
+        raise _malformed(report) from None
+
+
+def _pair_counts(joint: dict[tuple[int, ...], int], first: int, second: int
+                 ) -> dict[tuple[int, int], int]:
+    """The counts by the values at positions ``first`` and ``second`` of each key."""
+    pair: dict[tuple[int, int], int] = {}
+    for values, count in joint.items():
+        key = values[first], values[second]
+        pair[key] = pair.get(key, 0) + count
+    return pair
+
+
+def _first_count_difference(other: dict[tuple[int, int], int],
+                            reference: dict[tuple[int, int], int]) -> str | None:
+    """The first (p, q) exponent pair, in graded lexicographic order, whose counts differ."""
+    differing = [key for key in other.keys() | reference.keys()
+                 if other.get(key, 0) != reference.get(key, 0)]
+    if not differing:
+        return None
+    key = min(differing, key=lambda key: (sum(key), key))
+    exponents = {name: exponent for name, exponent in zip("pq", key) if exponent}
+    return (f"coefficient {exponents}: expected {reference.get(key, 0)}, "
+            f"got {other.get(key, 0)}")

@@ -440,31 +440,49 @@ def test_foata_split_reports_the_first_failure_of_either_half(capsys, monkeypatc
     assert run(capsys, "verify", "--suite", "foata", "--k", "4") == split
 
 
+# each suite's bounds, the sweep its target is taken from (equidist splits each part count
+# k on its own; this is its k = 3 sweep) and how its FAIL line starts
+COMPOSITION_SPLITS = {
+    "lemma": (("--max-n", "6"), lambda n, k: n <= 6, "FAIL lemma: sigma={}: "),
+    "macmahon": (("--max-n", "6"), lambda n, k: n <= 6, "FAIL macmahon: sigma={}: "),
+    "equidist": (("--k", "4", "--cap", "6"), lambda n, k: k == 3 and n <= 6,
+                 "FAIL equidist: k=3: (sum,comaj) over compositions differs: "),
+}
+
+
 @pytest.mark.parametrize("suite, name", [("lemma", "reversed_composition"),
-                                         ("macmahon", "macmahon_inverse")])
+                                         ("macmahon", "macmahon_inverse"),
+                                         ("equidist", "comaj")])
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
 def test_composition_splits_report_the_failure_a_single_pass_reports(
         capsys, monkeypatch, suite, name, parity):
     from compstats import compositions
 
-    objects = [sigma for n in range(7) for sigma in compositions.all_compositions(n)]
+    argv, swept, start = COMPOSITION_SPLITS[suite]
+    objects = [sigma for n in range(7) for sigma in compositions.all_compositions(n)
+               if swept(n, len(sigma))]
     target = next(sigma for i, sigma in enumerate(objects)
-                  if i >= 20 and i % 2 == parity and sigma != sigma[::-1])
-    function = getattr(compositions, name)
+                  if i >= len(objects) // 3 and i % 2 == parity and sigma != sigma[::-1])
+    if name == "comaj":  # the target's comaj comes out one too high
+        comaj = compositions.STATISTICS[name]
+        monkeypatch.setitem(compositions.STATISTICS, name,
+                            lambda sigma: comaj(sigma) + (sigma == target))
+    else:
+        function = getattr(compositions, name)
 
-    def broken(*args):
-        result = function(*args)
-        if name == "reversed_composition":  # the target's reverse comes back unreversed
-            return args[0] if args[0] == target else result
-        return result[::-1] if result == target else result  # its round trip, reversed
+        def broken(*args):
+            result = function(*args)
+            if name == "reversed_composition":  # the target's reverse comes back unreversed
+                return args[0] if args[0] == target else result
+            return result[::-1] if result == target else result  # its round trip, reversed
 
-    monkeypatch.setattr(compositions, name, broken)
-    split = run(capsys, "verify", "--suite", suite, "--max-n", "6")
+        monkeypatch.setattr(compositions, name, broken)
+    split = run(capsys, "verify", "--suite", suite, *argv)
     assert_no_child_left()
     assert split[0] == 1
-    assert split[1].startswith(f"FAIL {suite}: sigma={compositions.format_composition(target)}: ")
+    assert split[1].startswith(start.format(compositions.format_composition(target)))
     monkeypatch.delattr(os, "fork")
-    assert run(capsys, "verify", "--suite", suite, "--max-n", "6") == split
+    assert run(capsys, "verify", "--suite", suite, *argv) == split
 
 
 @pytest.mark.parametrize("error, code, line", [
@@ -537,28 +555,37 @@ def test_first_failure_takes_the_earliest_event_of_either_half(monkeypatch, fork
 
 
 def test_a_child_that_dies_is_an_internal_error(capsys, monkeypatch):
-    from compstats import suites
+    from compstats import permutations, statistics, suites
 
     parent = os.getpid()
-    objects = foata_positions(4)
 
     def die(pi):
         if os.getpid() != parent:
             os._exit(1)
         return pi
 
-    break_foata_round_trip(monkeypatch, {objects[17]}, die)
-    code, out, err = run(capsys, "verify", "--suite", "foata", "--k", "4")
-    assert_no_child_left()
-    assert (code, out, err) == (3, "ERROR foata: internal error: the process testing the "
-                                   "odd-numbered objects ended with exit status 1 before it "
-                                   "reported\n", "")
-    # a child that exits 0 with a report the parent cannot read never passes either
-    monkeypatch.undo()
-    monkeypatch.setattr(suites, "_encode", lambda event: b"not a report")
-    with pytest.raises(ArithmeticError, match="sent a malformed report b'not a report'"):
-        suites.check_lemma(4)
-    assert_no_child_left()
+    # each suite that splits its objects, with its bounds and the encoder of its report
+    for suite, argv, encode in (("foata", ("--k", "4"), "_encode"),
+                                ("equidist", ("--k", "4", "--cap", "6"), "_encode_counts")):
+        if suite == "foata":
+            break_foata_round_trip(monkeypatch, {foata_positions(4)[17]}, die)
+        else:
+            monkeypatch.setitem(permutations.STATISTICS, "inv",
+                                lambda pi: statistics.inversions(die(pi)))
+        code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+        assert_no_child_left()
+        assert (code, out, err) == (3, f"ERROR {suite}: internal error: the process testing "
+                                       "the odd-numbered objects ended with exit status 1 "
+                                       "before it reported\n", "")
+        # a child that exits 0 with a report the parent cannot read never passes either
+        monkeypatch.undo()
+        monkeypatch.setattr(suites, encode, lambda report: b"not a report")
+        code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+        assert_no_child_left()
+        assert (code, out, err) == (3, f"ERROR {suite}: internal error: the process testing "
+                                       "the odd-numbered objects sent a malformed report "
+                                       "b'not a report'\n", "")
+        monkeypatch.undo()
 
 
 def test_verify_all_output_is_golden(capsys):
@@ -574,14 +601,21 @@ def test_equidist_compares_distinct_distributions(capsys, monkeypatch):
 
     monkeypatch.setitem(permutations.STATISTICS, "imaj", statistics.major_index)
     code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "4", "--cap", "6")
-    assert code == 1
-    assert out.startswith("FAIL equidist: k=3: (inv,imaj) distribution differs: ")
+    assert (code, out) == (1, "FAIL equidist: k=3: (inv,imaj) distribution differs: "
+                              "coefficient {'p': 1, 'q': 1}: expected 2, got 1\n")
+
+    # (maj, imaj) is symmetric, so inv := maj passes the (inv,imaj) pair and fails (maj,inv)
+    monkeypatch.undo()
+    monkeypatch.setitem(permutations.STATISTICS, "inv", statistics.major_index)
+    code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "4", "--cap", "6")
+    assert (code, out) == (1, "FAIL equidist: k=3: (maj,inv) distribution differs: "
+                              "coefficient {'p': 1, 'q': 1}: expected 1, got 2\n")
 
     monkeypatch.undo()
     monkeypatch.setitem(compositions.STATISTICS, "comaj", statistics.descent_number)
     code, out, _ = run(capsys, "verify", "--suite", "equidist", "--k", "4", "--cap", "6")
-    assert code == 1
-    assert out.startswith("FAIL equidist: k=3: (sum,comaj) over compositions differs: ")
+    assert (code, out) == (1, "FAIL equidist: k=3: (sum,comaj) over compositions differs: "
+                              "coefficient {'p': 4, 'q': 1}: expected 1, got 2\n")
 
 
 def test_foata_suite_checks_the_round_trip(capsys, monkeypatch):

@@ -101,6 +101,16 @@ def test_distribution_counts_each_table_statistic():
             assert series.body == Poly(counts)
 
 
+@given(compositions)
+def test_descent_stats_read_the_descent_set(sigma):
+    # one pass gives what the descent set gives; ties (a weak ascent) are no descent
+    descents = statistics.descent_set(sigma)
+    expected = (len(descents), sum(descents), sum(len(sigma) - i for i in descents))
+    assert statistics.descent_stats(sigma) == expected
+    assert (statistics.descent_number(sigma), statistics.major_index(sigma),
+            statistics.comajor_index(sigma)) == expected
+
+
 def test_reversed_composition():
     assert reversed_composition((4, 2, 1, 2, 1, 5, 3)) == (3, 5, 1, 2, 1, 2, 4)
     assert reversed_composition((7,)) == (7,)
@@ -167,6 +177,20 @@ def test_macmahon_round_trip_and_weight_split(sigma):
     pi, lam = macmahon_forward(sigma)
     assert sum(lam) + permutation_stats(pi).maj == sum(sigma)
     assert macmahon_inverse(pi, lam) == sigma
+
+
+def test_macmahon_forward_validates_its_composition_once(monkeypatch):
+    from compstats import compositions
+
+    checked = []
+    check = compositions.check_composition
+    monkeypatch.setattr(compositions, "check_composition",
+                        lambda sigma: checked.append(sigma) or check(sigma))
+    assert macmahon_forward((4, 2, 1, 2, 1, 5, 3)) == ((6, 1, 7, 2, 4, 3, 5),
+                                                         (2, 2, 1, 1, 1, 1, 1))
+    assert checked == [(4, 2, 1, 2, 1, 5, 3)]
+    with pytest.raises(ValueError):
+        macmahon_forward((2, 0, 1))
 
 
 def test_macmahon_is_fast_on_many_parts():

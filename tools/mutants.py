@@ -160,6 +160,22 @@ MUTANTS = [
      "    if False:",
      "the parent ignores the child's report",
      "tests/test_cli.py::test_foata_split_reports_the_first_failure_of_either_half[odd]"),
+    (SUITES, "joint[values] = joint.get(values, 0) + count",
+     "joint[values] = joint.get(values, 0)",
+     "equidist's parent ignores the child's counts",
+     "tests/test_cli.py::test_composition_splits_report_the_failure_a_single_pass_reports"
+     "[odd-equidist-comaj]"),
+    ("src/compstats/statistics.py", "return des, maj, len(seq) * des - maj",
+     "return des, maj, (len(seq) + 1) * des - maj",
+     "descent_stats counts each descent's comaj one too high",
+     "tests/test_permutations.py::test_stats_identity_and_reversal"),
+    ("src/compstats/statistics.py", "            maj += i\n", "            maj += i if i > 1 else 0\n",
+     "descent_stats leaves a descent at position 1 out of maj",
+     "tests/test_permutations.py::test_stats_worked_example"),
+    ("src/compstats/compositions.py", "sorted(range(1, len(sigma) + 1), key=",
+     "sorted(range(len(sigma), 0, -1), key=",
+     "sorting_permutation puts tied parts in decreasing index order",
+     "tests/test_compositions.py::test_sorting_permutation"),
     (TABLES,
      "    shape = check_partition(shape)\n    cols = conjugate(shape)",
      "    shape = check_partition(shape)\n    if not shape:\n"

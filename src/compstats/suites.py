@@ -9,7 +9,8 @@ the closed forms, and only the suites that compare polynomials load
 The checks that test each object of an enumeration on its own (lemma, macmahon
 and foata) run it through :func:`first_failure`, which splits the objects
 between two processes where ``os.fork`` exists.  equidist, which counts its
-objects, splits them through the same :func:`_in_two_processes`.
+objects, splits them through the same :func:`_in_two_processes`.  The forked
+child sends only plain data: the position of its first failure, or its counts.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ if TYPE_CHECKING:
 
     T = TypeVar("T")
     R = TypeVar("R")
-    # (position, failure detail or exception), or None when every object passed
-    Event = tuple[float, str | BaseException] | None
 
 # where an enumeration that raised ranks: both halves enumerate every object, so both meet
 # the exception at the same place, after every test either of them ran
@@ -40,28 +39,49 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
     ``objects`` returns a fresh enumeration at each call, and ``test`` returns a failure
     detail, or None for an object that passes.  Where ``os.fork`` exists, one child process
     tests the odd-numbered objects and this one the even-numbered ones, each enumerating
-    on its own.  The earlier of the two first events (a failure or an exception) decides,
-    so the result, or the exception raised, is the one a sequential pass gives.  A child
-    that dies, exits nonzero or sends a malformed report raises ArithmeticError.
+    on its own, and each finds the position of its first event (a failure or an
+    exception).  This process then tests the object at the earlier position again, so the
+    result, or the exception raised, is the one a sequential pass gives.  A child that
+    dies, exits nonzero or sends a malformed report raises ArithmeticError, and so does an
+    object that fails in one process and passes in the other.
     """
-    if not hasattr(os, "fork"):
-        return _outcome(_first_event(objects, test, 0, 1))
-    mine, report = _in_two_processes(
-        lambda start, step: _first_event(objects, test, start, step), _encode)
-    theirs = _decode(report)
-    if theirs is not None and (mine is None or theirs[0] < mine[0]):
-        mine = theirs
-    return _outcome(mine)
+    def first(start: int, step: int) -> float | None:
+        return _first_position(objects, test, start, step)
+
+    if hasattr(os, "fork"):
+        mine, theirs = _in_two_processes(first)
+        if not (theirs in (None, _PAST_EVERY_TEST) or type(theirs) is int and theirs > 0):
+            raise _malformed(theirs)
+        position = min((p for p in (mine, theirs) if p is not None), default=None)
+    else:
+        position = first(0, 1)
+    if position is None:
+        return None
+    if position == _PAST_EVERY_TEST:
+        for _ in objects():  # raises as the enumeration did
+            pass
+    else:
+        from itertools import islice
+
+        for obj in islice(objects(), position, position + 1):
+            detail = test(obj)
+            if detail is not None:
+                return detail
+    raise ArithmeticError(f"object {position} of the enumeration failed in one pass and "
+                          f"passed in another")
 
 
-def _in_two_processes(work: Callable[[int, int], R], encode: Callable[[R], bytes]
-                      ) -> tuple[R, bytes]:
-    """``work(0, 2)`` from this process and the report ``encode(work(1, 2))`` from a child.
+def _in_two_processes(work: Callable[[int, int], R]) -> tuple[R, object]:
+    """``work(0, 2)`` from this process and ``work(1, 2)``, ``marshal``led, from a child.
 
-    The child is forked for its half and sends its report through a pipe.  Both pipe ends
-    are closed and the child is reaped whatever this process's half raises; a child that
-    dies or exits nonzero, say when its half raises, raises ArithmeticError.
+    The child is forked for its half and sends its result through a pipe, so the result
+    must be plain data that ``marshal`` writes.  The child's result comes back unchecked:
+    the caller checks its shape.  Both pipe ends are closed and the child is reaped
+    whatever this process's half raises; a child that dies or exits nonzero, say when its
+    half raises, or whose report does not decode raises ArithmeticError.
     """
+    import marshal
+
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -73,7 +93,7 @@ def _in_two_processes(work: Callable[[int, int], R], encode: Callable[[R], bytes
         status = 1
         try:
             os.close(read_end)
-            report = encode(work(1, 2))
+            report = marshal.dumps(work(1, 2))
             while report:
                 report = report[os.write(write_end, report):]
             status = 0
@@ -92,82 +112,33 @@ def _in_two_processes(work: Callable[[int, int], R], encode: Callable[[R], bytes
         ending = f"signal {-status}" if status < 0 else f"exit status {status}"
         raise ArithmeticError(f"the process testing the odd-numbered objects ended with "
                               f"{ending} before it reported")
-    return mine, b"".join(chunks)
+    report = b"".join(chunks)
+    try:
+        return mine, marshal.loads(report)
+    except (EOFError, ValueError, TypeError):
+        raise _malformed(report) from None
 
 
-def _first_event(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None],
-                 start: int, step: int) -> Event:
-    """The first event among the objects at positions start, start + step, ..."""
-    from itertools import islice
+def _first_position(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None],
+                    start: int, step: int) -> float | None:
+    """The position of the first event among the objects at start, start + step, ..."""
+    from itertools import count, islice
 
     try:
-        picked = islice(objects(), start, None, step)
-    except Exception as exc:
-        return _PAST_EVERY_TEST, exc
-    position = start
-    while True:
-        try:
-            obj = next(picked)
-        except StopIteration:
-            return None
-        except Exception as exc:
-            return _PAST_EVERY_TEST, exc
-        try:
-            detail = test(obj)
-        except Exception as exc:
-            return position, exc
-        if detail is not None:
-            return position, detail
-        position += step
-
-
-def _outcome(event: Event) -> str | None:
-    if event is None:
-        return None
-    if isinstance(event[1], BaseException):
-        raise event[1]
-    return event[1]
-
-
-def _encode(event: Event) -> bytes:
-    """The child's report: an exception travels as its class's module, name and args."""
-    import marshal
-
-    if event is None or isinstance(event[1], str):
-        return marshal.dumps(event)
-    position, exc = event
-    cls = type(exc)
-    try:
-        return marshal.dumps((position, cls.__module__, cls.__qualname__, exc.args))
-    except ValueError:  # an argument marshal cannot write: keep the message
-        return marshal.dumps((position, cls.__module__, cls.__qualname__, (str(exc),)))
-
-
-def _decode(report: bytes) -> Event:
-    import marshal
-    import sys
-
-    try:
-        event = marshal.loads(report)
-        if event is None:
-            return None
-        if len(event) == 2 and isinstance(event[0], (int, float)) and isinstance(event[1], str):
-            return event
-        position, module, qualname, args = event
-        cls = sys.modules[module]
-        for name in qualname.split("."):
-            cls = getattr(cls, name)
-        if (isinstance(position, (int, float)) and isinstance(args, tuple)
-                and isinstance(cls, type) and issubclass(cls, BaseException)):
-            return position, cls(*args)
+        for position, obj in zip(count(start, step), islice(objects(), start, None, step)):
+            try:
+                if test(obj) is not None:
+                    return position
+            except Exception:
+                return position
     except Exception:
-        pass
-    raise _malformed(report)
+        return _PAST_EVERY_TEST
+    return None
 
 
-def _malformed(report: bytes) -> ArithmeticError:
+def _malformed(report: object) -> ArithmeticError:
     return ArithmeticError(f"the process testing the odd-numbered objects sent a malformed "
-                           f"report {report[:80]!r}")
+                           f"report {report!r:.80}")
 
 
 def _first_poly_difference(a: Poly, b: Poly) -> str:
@@ -331,8 +302,8 @@ def check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
         return joints
 
     if hasattr(os, "fork"):
-        joints, report = _in_two_processes(tallies, _encode_counts)
-        _add_counts(joints, report)
+        joints, theirs = _in_two_processes(tallies)
+        _add_counts(joints, theirs)
     else:
         joints = tallies(0, 1)
     for k, joint in enumerate(joints[:max_k + 1]):
@@ -352,25 +323,16 @@ def check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
     return True, f"S_k for k 0..{max_k}; compositions k 0..{comp_max_k}, cap {cap}"
 
 
-def _encode_counts(joints: list[dict[tuple[int, ...], int]]) -> bytes:
-    import marshal
-
-    return marshal.dumps(joints)
-
-
-def _add_counts(joints: list[dict[tuple[int, ...], int]], report: bytes) -> None:
-    """Add the child's counts, a marshalled list like ``joints``, into ``joints``."""
-    import marshal
-
+def _add_counts(joints: list[dict[tuple[int, ...], int]], theirs: object) -> None:
+    """Add the child's counts, a list like ``joints``, into ``joints``."""
     try:
-        theirs = marshal.loads(report)
         if type(theirs) is not list or len(theirs) != len(joints):
             raise ValueError
         for joint, more in zip(joints, theirs):
             for values, count in more.items():
                 joint[values] = joint.get(values, 0) + count
     except Exception:
-        raise _malformed(report) from None
+        raise _malformed(theirs) from None
 
 
 def _pair_counts(joint: dict[tuple[int, ...], int], first: int, second: int

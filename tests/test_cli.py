@@ -507,20 +507,38 @@ def test_the_childs_exception_keeps_its_class_and_message(monkeypatch):
     from compstats import suites
     from compstats.errors import InexactDivision, TooLarge
 
-    # an argument marshal cannot write travels as the message
-    unwritable = ValueError(object())
-    for error in (InexactDivision("remainder 1 + q"), TooLarge("k", 9, 7), KeyError("k"),
-                  unwritable):
-        def test(x, error=error):
-            if x == 5:
-                raise error
+    class LocalError(ValueError):  # no module attribute names it
+        pass
+
+    class Counted(ValueError):  # its args are not the arguments it takes
+        def __init__(self, n):
+            super().__init__(f"object {n} is bad")
+
+    unwritable = object()  # an argument marshal cannot write
+    errors = {"inexact": lambda: InexactDivision("remainder 1 + q"),
+              "too large": lambda: TooLarge("k", 9, 7), "key": lambda: KeyError("k"),
+              "unwritable": lambda: ValueError(unwritable),
+              "local": lambda: LocalError("planted"), "counted": lambda: Counted(5),
+              "filename": lambda: FileNotFoundError(2, "No such file", "x.txt")}
+
+    def raised(make):
+        def test(x):
+            if x == 5:  # the child's half
+                raise make()
             return None
 
-        with pytest.raises(type(error)) as raised:
+        with pytest.raises(Exception) as caught:
             suites.first_failure(lambda: range(10), test)
         assert_no_child_left()
-        assert (type(raised.value), str(raised.value)) == (type(error), str(error))
-        assert error is unwritable or raised.value.args == error.args
+        return caught.value
+
+    split = {name: raised(make) for name, make in errors.items()}
+    monkeypatch.delattr(os, "fork")
+    for name, make in errors.items():
+        sequential = raised(make)
+        assert (type(split[name]), str(split[name])) == (type(sequential), str(sequential)), name
+        assert (type(sequential), str(sequential)) == (type(make()), str(make())), name
+        assert split[name].args == sequential.args == make().args, name
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["split", "sequential"])
@@ -555,18 +573,22 @@ def test_first_failure_takes_the_earliest_event_of_either_half(monkeypatch, fork
 
 
 def test_a_child_that_dies_is_an_internal_error(capsys, monkeypatch):
-    from compstats import permutations, statistics, suites
+    import marshal
+
+    from compstats import permutations, statistics
 
     parent = os.getpid()
+    dumps = marshal.dumps
 
     def die(pi):
         if os.getpid() != parent:
             os._exit(1)
         return pi
 
-    # each suite that splits its objects, with its bounds and the encoder of its report
-    for suite, argv, encode in (("foata", ("--k", "4"), "_encode"),
-                                ("equidist", ("--k", "4", "--cap", "6"), "_encode_counts")):
+    # each suite that splits its objects, its bounds, and a report that decodes to the
+    # wrong shape
+    for suite, argv, wrong in (("foata", ("--k", "4"), -1),
+                               ("equidist", ("--k", "4", "--cap", "6"), [])):
         if suite == "foata":
             break_foata_round_trip(monkeypatch, {foata_positions(4)[17]}, die)
         else:
@@ -577,15 +599,28 @@ def test_a_child_that_dies_is_an_internal_error(capsys, monkeypatch):
         assert (code, out, err) == (3, f"ERROR {suite}: internal error: the process testing "
                                        "the odd-numbered objects ended with exit status 1 "
                                        "before it reported\n", "")
-        # a child that exits 0 with a report the parent cannot read never passes either
         monkeypatch.undo()
-        monkeypatch.setattr(suites, encode, lambda report: b"not a report")
-        code, out, err = run(capsys, "verify", "--suite", suite, *argv)
-        assert_no_child_left()
-        assert (code, out, err) == (3, f"ERROR {suite}: internal error: the process testing "
-                                       "the odd-numbered objects sent a malformed report "
-                                       "b'not a report'\n", "")
-        monkeypatch.undo()
+        # a child that exits 0 with a report the parent cannot read never passes either;
+        # only the child marshals its report
+        for report, shown in ((b"not a report", "b'not a report'"), (dumps(wrong), repr(wrong))):
+            monkeypatch.setattr(marshal, "dumps", lambda result, report=report: report)
+            code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+            monkeypatch.undo()
+            assert_no_child_left()
+            assert (code, out, err) == (3, f"ERROR {suite}: internal error: the process "
+                                           "testing the odd-numbered objects sent a malformed "
+                                           f"report {shown}\n", "")
+
+
+def test_an_object_that_fails_only_in_the_child_is_an_internal_error(capsys, monkeypatch):
+    parent = os.getpid()
+    # the round trip of object 17, on the child's half, fails in the child alone
+    break_foata_round_trip(monkeypatch, {foata_positions(4)[17]},
+                           lambda pi: pi if os.getpid() == parent else pi[::-1])
+    code, out, err = run(capsys, "verify", "--suite", "foata", "--k", "4")
+    assert_no_child_left()
+    assert (code, out, err) == (3, "ERROR foata: internal error: object 17 of the enumeration "
+                                   "failed in one pass and passed in another\n", "")
 
 
 def test_verify_all_output_is_golden(capsys):

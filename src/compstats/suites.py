@@ -10,7 +10,9 @@ The checks that test each object of an enumeration on its own (lemma, macmahon
 and foata) run it through :func:`first_failure`, which splits the objects
 between two processes where ``os.fork`` exists.  equidist, which counts its
 objects, splits them through the same :func:`_in_two_processes`.  The forked
-child sends only plain data: the position of its first failure, or its counts.
+child sends only plain data: whether every object of its half passed, or its counts.
+These four checks refuse a bound past its ``cli.SUITES`` limit before they test or count
+anything.
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
     from typing import TypeVar
 
-    from .polynomial import Poly
-
     T = TypeVar("T")
     R = TypeVar("R")
-
-# where an enumeration that raised ranks: both halves enumerate every object, so both meet
-# the exception at the same place, after every test either of them ran
-_PAST_EVERY_TEST = float("inf")
 
 
 def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None]
@@ -39,36 +35,35 @@ def first_failure(objects: Callable[[], Iterable[T]], test: Callable[[T], str | 
     ``objects`` returns a fresh enumeration at each call, and ``test`` returns a failure
     detail, or None for an object that passes.  Where ``os.fork`` exists, one child process
     tests the odd-numbered objects and this one the even-numbered ones, each enumerating
-    on its own, and each finds the position of its first event (a failure or an
-    exception).  This process then tests the object at the earlier position again, so the
-    result, or the exception raised, is the one a sequential pass gives.  A child that
-    dies, exits nonzero or sends a malformed report raises ArithmeticError, and so does an
-    object that fails in one process and passes in the other.
+    on its own, and each tells only whether every object of its half passed.  Unless both
+    did, this process makes one sequential pass over ``objects()``, so the result, or the
+    exception raised, is the one a single pass gives.  A child that dies, exits nonzero or
+    sends a malformed report raises ArithmeticError, and so does a sequential pass that
+    finds no failure after a half failed.
     """
-    def first(start: int, step: int) -> float | None:
-        return _first_position(objects, test, start, step)
+    split = hasattr(os, "fork")
+    if split:
+        def passes(start: int, step: int) -> bool:
+            from itertools import islice
 
-    if hasattr(os, "fork"):
-        mine, theirs = _in_two_processes(first)
-        if not (theirs in (None, _PAST_EVERY_TEST) or type(theirs) is int and theirs > 0):
+            try:
+                return all(test(obj) is None for obj in islice(objects(), start, None, step))
+            except Exception:  # the sequential pass raises it again
+                return False
+
+        mine, theirs = _in_two_processes(passes)
+        if type(theirs) is not bool:
             raise _malformed(theirs)
-        position = min((p for p in (mine, theirs) if p is not None), default=None)
-    else:
-        position = first(0, 1)
-    if position is None:
-        return None
-    if position == _PAST_EVERY_TEST:
-        for _ in objects():  # raises as the enumeration did
-            pass
-    else:
-        from itertools import islice
-
-        for obj in islice(objects(), position, position + 1):
-            detail = test(obj)
-            if detail is not None:
-                return detail
-    raise ArithmeticError(f"object {position} of the enumeration failed in one pass and "
-                          f"passed in another")
+        if mine and theirs:
+            return None
+    for obj in objects():
+        detail = test(obj)
+        if detail is not None:
+            return detail
+    if split:
+        raise ArithmeticError("the objects failed when split between two processes and "
+                              "passed in one pass")
+    return None
 
 
 def _in_two_processes(work: Callable[[int, int], R]) -> tuple[R, object]:
@@ -119,36 +114,18 @@ def _in_two_processes(work: Callable[[int, int], R]) -> tuple[R, object]:
         raise _malformed(report) from None
 
 
-def _first_position(objects: Callable[[], Iterable[T]], test: Callable[[T], str | None],
-                    start: int, step: int) -> float | None:
-    """The position of the first event among the objects at start, start + step, ..."""
-    from itertools import count, islice
-
-    try:
-        for position, obj in zip(count(start, step), islice(objects(), start, None, step)):
-            try:
-                if test(obj) is not None:
-                    return position
-            except Exception:
-                return position
-    except Exception:
-        return _PAST_EVERY_TEST
-    return None
-
-
 def _malformed(report: object) -> ArithmeticError:
     return ArithmeticError(f"the process testing the odd-numbered objects sent a malformed "
                            f"report {report!r:.80}")
 
 
-def _first_poly_difference(a: Poly, b: Poly) -> str:
-    from .polynomial import monomial_exponents
+def _check_bounds(suite: str, *values: int) -> None:
+    """Refuse each bound of ``suite`` past the limit that ``cli.SUITES`` gives it."""
+    from .cli import SUITES
+    from .errors import check_size
 
-    diff = a - b
-    key, _ = next(diff.terms())
-    exponents = monomial_exponents(key)
-    return (f"coefficient {exponents}: expected {b.coeff(**exponents)}, "
-            f"got {a.coeff(**exponents)}")
+    for (name, (_, limit)), value in zip(SUITES[suite].items(), values):
+        check_size(limit, name, value)
 
 
 def check_prod(max_t: int, cap: int) -> tuple[bool, str]:
@@ -182,6 +159,8 @@ def check_lemma(max_n: int) -> tuple[bool, str]:
     from .permutations import inverse_permutation
     from .statistics import descent_stats, inversions
 
+    _check_bounds("lemma", max_n)
+
     def test(sigma: tuple[int, ...]) -> str | None:
         pi = sorting_permutation(sigma)
         rev = reversed_composition(sigma)
@@ -211,6 +190,8 @@ def check_macmahon(max_n: int) -> tuple[bool, str]:
                                macmahon_inverse)
     from .statistics import major_index
 
+    _check_bounds("macmahon", max_n)
+
     def test(sigma: tuple[int, ...]) -> str | None:
         pi, lam = macmahon_forward(sigma)
         n, maj = sum(sigma), major_index(pi)
@@ -232,6 +213,7 @@ def check_macmahon(max_n: int) -> tuple[bool, str]:
 def check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
     from . import distributions
     from .compositions import statistic_distribution as composition_distribution
+    from .polynomial import VARIABLES
 
     stats = ("sum", "inv", "comaj", "maj", "des")
     variables = ("p", "q", "t", "u", "v")
@@ -239,8 +221,9 @@ def check_jointstat(max_k: int, cap: int) -> tuple[bool, str]:
         closed = distributions.joint_gf(k, cap)
         brute = composition_distribution(k, cap, stats, variables)
         if closed != brute:
-            return False, (f"k={k}, cap={cap}: "
-                           + _first_poly_difference(closed.body, brute.body))
+            difference = _first_count_difference(dict(closed.body.terms()),
+                                                 dict(brute.body.terms()), VARIABLES)
+            return False, f"k={k}, cap={cap}: {difference}"
     return True, f"k 0..{max_k}, cap {cap}"
 
 
@@ -255,6 +238,8 @@ def _inverse_descent_set(pi: tuple[int, ...]) -> tuple[int, ...]:
 def check_foata(max_k: int) -> tuple[bool, str]:
     from .permutations import all_permutations, foata, foata_inverse, format_permutation
     from .statistics import inversions, major_index
+
+    _check_bounds("foata", max_k)
 
     # foata checks pi and foata_inverse checks the image: one validation per permutation
     def test(pi: tuple[int, ...]) -> str | None:
@@ -280,13 +265,10 @@ def check_equidist(max_k: int, cap: int) -> tuple[bool, str]:
     from itertools import chain, islice
 
     from . import compositions, permutations
-    from .errors import check_size
     from .statistics import tally
 
+    _check_bounds("equidist", max_k, cap)
     comp_max_k = min(max_k, 5)
-    if max_k >= 0:  # refused here, before either process enumerates
-        check_size("permutations", "k", max_k)
-        check_size("compositions", "cap", cap)
     # one joint count per k, over S_k by (imaj, maj, inv) and over the k-part compositions
     # with sum <= cap by (sum, inv, maj, comaj); each pair is read off the joint one
     by_permutation = [permutations.STATISTICS[name] for name in ("imaj", "maj", "inv")]
@@ -345,14 +327,19 @@ def _pair_counts(joint: dict[tuple[int, ...], int], first: int, second: int
     return pair
 
 
-def _first_count_difference(other: dict[tuple[int, int], int],
-                            reference: dict[tuple[int, int], int]) -> str | None:
-    """The first (p, q) exponent pair, in graded lexicographic order, whose counts differ."""
+def _first_count_difference(other: dict[tuple[int, ...], int],
+                            reference: dict[tuple[int, ...], int],
+                            variables: Iterable[str] = "pq") -> str | None:
+    """The first exponent tuple, in graded lexicographic order, whose counts differ.
+
+    Each key holds the exponents of ``variables`` in order; the message names the
+    nonzero ones.
+    """
     differing = [key for key in other.keys() | reference.keys()
                  if other.get(key, 0) != reference.get(key, 0)]
     if not differing:
         return None
     key = min(differing, key=lambda key: (sum(key), key))
-    exponents = {name: exponent for name, exponent in zip("pq", key) if exponent}
+    exponents = {name: exponent for name, exponent in zip(variables, key) if exponent}
     return (f"coefficient {exponents}: expected {reference.get(key, 0)}, "
             f"got {other.get(key, 0)}")

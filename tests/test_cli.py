@@ -619,8 +619,8 @@ def test_an_object_that_fails_only_in_the_child_is_an_internal_error(capsys, mon
                            lambda pi: pi if os.getpid() == parent else pi[::-1])
     code, out, err = run(capsys, "verify", "--suite", "foata", "--k", "4")
     assert_no_child_left()
-    assert (code, out, err) == (3, "ERROR foata: internal error: object 17 of the enumeration "
-                                   "failed in one pass and passed in another\n", "")
+    assert (code, out, err) == (3, "ERROR foata: internal error: the objects failed when split "
+                                   "between two processes and passed in one pass\n", "")
 
 
 def test_verify_all_output_is_golden(capsys):
@@ -664,10 +664,11 @@ def test_foata_suite_checks_the_round_trip(capsys, monkeypatch):
 
 
 def test_first_poly_difference_message():
-    from compstats.suites import _first_poly_difference
-    from compstats.polynomial import p, q
+    from compstats.polynomial import VARIABLES, p, q
+    from compstats.suites import _first_count_difference
 
-    message = _first_poly_difference(1 + 2 * p * q, 1 + 3 * p * q)
+    message = _first_count_difference(dict((1 + 2 * p * q).terms()),
+                                      dict((1 + 3 * p * q).terms()), VARIABLES)
     assert "expected 3" in message
     assert "got 2" in message
     assert "'p': 1" in message and "'q': 1" in message
@@ -741,6 +742,34 @@ def test_oeis_check_negative_max_n_is_usage_error(capsys):
                   "--max-n", "-1"])
         assert exc.value.code == 2
         assert "--max-n must be nonnegative" in capsys.readouterr().err
+
+
+# each suite whose check enumerates, and a function its check calls on every object
+@pytest.mark.parametrize("suite, module, name", [
+    ("lemma", "compositions", "sorting_permutation"),
+    ("macmahon", "compositions", "macmahon_forward"),
+    ("foata", "permutations", "foata"),
+    ("equidist", "statistics", "tally")])
+def test_an_over_limit_bound_is_refused_before_any_object_is_tested(monkeypatch, suite, module,
+                                                                     name):
+    import importlib
+
+    from compstats import suites
+    from compstats.cli import SUITES
+    from compstats.errors import LIMITS, TooLarge
+
+    def tested(*args):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(importlib.import_module(f"compstats.{module}"), name, tested)
+    bounds = SUITES[suite]
+    for over, (_, limit) in bounds.items():
+        values = [LIMITS[limit] + 1 if bound == over else default
+                  for bound, (default, _) in bounds.items()]
+        with pytest.raises(TooLarge, match=f"^{over} {LIMITS[limit] + 1} exceeds the {limit} "
+                                           f"limit {LIMITS[limit]}$"):
+            getattr(suites, f"check_{suite}")(*values)
+        assert_no_child_left()
 
 
 def test_limits_have_one_source(capsys, monkeypatch):

@@ -156,12 +156,11 @@ MUTANTS = [
      "        lambda: (sigma for n in range(1, max_n + 1)",
      "verify lemma sweeps from n = 1 again, past the empty composition",
      "tests/test_cli.py::test_verify_max_n_zero_checks_the_empty_composition[lemma]"),
-    (SUITES, "position = min((p for p in (mine, theirs) if p is not None), default=None)",
-     "position = mine",
+    (SUITES, "        if mine and theirs:\n", "        if mine:\n",
      "the parent ignores the child's report",
      "tests/test_cli.py::test_foata_split_reports_the_first_failure_of_either_half[odd]"),
-    (SUITES, "    raise ArithmeticError(f\"object {position} of the enumeration failed",
-     "    return None\n    raise ArithmeticError(f\"object {position} of the enumeration failed",
+    (SUITES, "    if split:\n        raise ArithmeticError(\"the objects failed when split between two "
+             "processes and \"\n                              \"passed in one pass\")\n", "",
      "an object that fails in the child and passes in the parent passes",
      "tests/test_cli.py::test_an_object_that_fails_only_in_the_child_is_an_internal_error"),
     (SUITES, "joint[values] = joint.get(values, 0) + count",
